@@ -80,7 +80,7 @@ class TransitionPrediction:
 
 def _values_and_max(code, sector, e, beta, budget_log2):
     vals = class_log_values(code, sector, e, beta, budget_log2)
-    _, label_max = wegner.zmax(code, sector, e, beta, budget_log2)
+    label_max, _ = wegner.dominant_class(code.sector(sector), vals, budget_log2)
     return vals, label_max
 
 
@@ -202,8 +202,7 @@ def tension_report(
     labels = np.arange(n_classes)
     for i in range(n_disorder):
         e = sample_bits(p, view.n_bonds, rng)
-        vals = class_log_values(code, sector, e, beta, budget_log2)
-        _, label_max = wegner.zmax(code, sector, e, beta, budget_log2)
+        vals, label_max = _values_and_max(code, sector, e, beta, budget_log2)
         deltas = (vals[label_max] - vals[label_max ^ labels]) / beta
         per_sample[i] = deltas[1:]
     d_arr = np.array([d_c[l] for l in range(1, n_classes)], dtype=float)
@@ -243,9 +242,7 @@ def clean_self_dual_check(code, sector=None, budget_log2: int = 24) -> SelfDualC
     """
     view = code.sector(sector)
     vals = class_log_values(code, sector, 0, BETA_SELF_DUAL, budget_log2)
-    mx = vals.max()
-    log_tot = mx + math.log(np.exp(vals - mx).sum())
-    lhs = math.exp(log_tot - vals[0]) - 1.0
+    lhs = math.exp(wegner.log_sum_exp(vals) - vals[0]) - 1.0
     if sector is None:
         target = float(2**code.k - 1)
     else:
@@ -275,19 +272,5 @@ def indicator_signature(
 
 def infer_class_from_signs(code, sector, q_values: Sequence[float]) -> int:
     """Dominant-class label from the sign pattern of indicator correlators."""
-    view = code.sector(sector)
-    y = 0
-    for j, q in enumerate(q_values):
-        if q < 0:
-            y |= 1 << j
-    # solve a P = y with the cached pairing inverse (same convention as
-    # SectorView.class_label)
-    a = 0
-    for i in range(view.k):
-        col = 0
-        for j in range(view.k):
-            if (view._pair_inv.row_bits[j] >> i) & 1:
-                col |= 1 << j
-        if (y & col).bit_count() & 1:
-            a |= 1 << i
-    return a
+    y = sum(1 << j for j, q in enumerate(q_values) if q < 0)
+    return code.sector(sector).label_from_indicators(y)

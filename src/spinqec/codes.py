@@ -21,9 +21,9 @@ from . import gf2
 from .gf2 import (
     BinaryMatrix,
     BinaryVector,
-    BudgetExceededError,
     CosetTable,
     RowReducer,
+    SolveMap,
     circulant,
     conjugate,
     hstack,
@@ -32,6 +32,8 @@ from .gf2 import (
     mat_mul_t,
     mat_vec,
     nullspace,
+    parities,
+    rref,
     row_basis,
     vstack,
 )
@@ -130,6 +132,11 @@ class SectorView:
     flags u, the degeneracy group is rowspace(G_Z) and the syndrome is
     G_X u^T.  Sector "X" mirrors this.  The full-code view (sector None)
     uses the 2n-column symplectic vectors with the conjugate syndrome map.
+
+    Two linear maps are built once per view from one elimination each: the
+    syndrome map behind ``solve_syndrome`` and the k label rows behind
+    ``class_label``, with the inverse of the logical/indicator pairing folded
+    into them.
     """
 
     def __init__(self, code, name, theta, syn_matrix, logicals, indicators):
@@ -144,14 +151,19 @@ class SectorView:
         self.theta_basis = row_basis(theta)
         self.rank_theta = self.theta_basis.rows
         self.n_gauge = theta.rows - self.rank_theta
-        self._syn_reducer = None
-        self._pair_inv = None
+        self._syn_map = SolveMap(syn_matrix)
         self._tables: dict = {}
         self._reps: dict = {}
         self._tot_matrix = None
+        # the label a of indicator parities y solves a P = y for the pairing
+        # P = logicals . indicators^T: bit i of a is <y, column i of P^-1>
+        self._pair_inv_cols = []
+        self._label_rows = []
         if self.k:
             pair = mat_mul_t(logicals, indicators)
-            self._pair_inv = gf2.invert(pair)  # raises if pairing degenerate
+            pair_inv_t = gf2.invert(pair).transpose()  # raises if pairing degenerate
+            self._pair_inv_cols = list(pair_inv_t.row_bits)
+            self._label_rows = list(mat_mul_t(pair_inv_t, indicators.transpose()).row_bits)
 
     # -- syndromes -------------------------------------------------------------
 
@@ -160,7 +172,7 @@ class SectorView:
 
     def solve_syndrome(self, s: BinaryVector) -> BinaryVector:
         """Any error with the requested syndrome; raises if unreachable."""
-        x = gf2.solve(self.syn_matrix, s)
+        x = self._syn_map.solve(s)
         if x is None:
             raise ValueError("syndrome is not in the image of the check matrix")
         return x
@@ -178,7 +190,7 @@ class SectorView:
 
     @property
     def n_syndromes(self) -> int:
-        return 1 << gf2.rank(self.syn_matrix)
+        return 1 << self._syn_map.rank
 
     # -- class labels ------------------------------------------------------------
 
@@ -186,23 +198,11 @@ class SectorView:
         """Label in [0, 2^k) of the class of a zero-syndrome vector x."""
         if self.syndrome(x).bits:
             raise ValueError("vector has a nonzero syndrome")
-        if self.k == 0:
-            return 0
-        y = 0
-        for j in range(self.k):
-            if gf2._parity(x.bits & self.indicators.row_bits[j]):
-                y |= 1 << j
-        # a = y @ P^{-1}: bit i of a = parity over j of y_j * Pinv[j][i]
-        a = 0
-        yv = BinaryVector(y, self.k)
-        for i in range(self.k):
-            col = 0
-            for j in range(self.k):
-                if (self._pair_inv.row_bits[j] >> i) & 1:
-                    col |= 1 << j
-            if gf2._parity(y & col):
-                a |= 1 << i
-        return a
+        return parities(self._label_rows, x.bits)
+
+    def label_from_indicators(self, y: int) -> int:
+        """Class label whose indicator parities are y (bit j: indicator j)."""
+        return parities(self._pair_inv_cols, y)
 
     def class_vector(self, label: int) -> BinaryVector:
         """Raw representative sum_j label_j * logical_j of a class."""
@@ -213,14 +213,18 @@ class SectorView:
         return BinaryVector(bits, self.n_bonds)
 
     def representative(self, label: int, budget_log2: int = 24) -> BinaryVector:
-        """Minimum-weight class representative (lexicographic tie-break)."""
+        """Minimum-weight class representative (lexicographic tie-break).
+
+        Exact when the degeneracy group has at most 2^budget_log2 elements.
+        Above the budget the representative comes from the randomized
+        information-set search of ``coset_min_rep`` and need not be the
+        exact minimum or the exact tie-break.
+        """
         if label not in self._reps:
             v = self.class_vector(label)
-            try:
-                _, rep, _ = gf2.coset_min_rep(v, self.theta, budget_log2=budget_log2)
-            except BudgetExceededError:
-                rep = v
-            self._reps[label] = rep
+            _, self._reps[label], _ = gf2.coset_min_rep(
+                v, self.theta, budget_log2=budget_log2
+            )
         return self._reps[label]
 
     def class_distance(self, label: int, budget_log2: int = 24) -> tuple[int, bool]:
@@ -249,32 +253,17 @@ class SectorView:
 
 
 def _quotient_basis(ambient: BinaryMatrix, subgroup: BinaryMatrix) -> BinaryMatrix:
-    """Rows of ``ambient`` that extend ``subgroup`` to a basis of its span."""
-    rows = []
-    reducer_rows = list(row_basis(subgroup).row_bits)
-    pivots = [_lowest_set(r) for r in reducer_rows]
+    """Rows of ``ambient`` that extend ``subgroup`` to a basis of its span.
 
-    def reduce_bits(bits):
-        changed = True
-        while changed:
-            changed = False
-            for row, piv in zip(reducer_rows, pivots):
-                if (bits >> piv) & 1:
-                    bits ^= row
-                    changed = True
-        return bits
-
-    for r in ambient.row_bits:
-        res = reduce_bits(r)
-        if res:
-            reducer_rows.append(res)
-            pivots.append(_lowest_set(res))
-            rows.append(r)
-    return BinaryMatrix(rows, ambient.cols)
-
-
-def _lowest_set(x: int) -> int:
-    return (x & -x).bit_length() - 1
+    Row j is kept when it is independent of ``subgroup`` and of the rows
+    before it, that is when its column is a pivot of the stacked rows taken
+    as columns.
+    """
+    _, _, pivots = rref(vstack(subgroup, ambient).transpose())
+    skip = subgroup.rows
+    return BinaryMatrix(
+        [ambient.row_bits[j - skip] for j in pivots if j >= skip], ambient.cols
+    )
 
 
 def _build_view(code: StabilizerCode, name: Optional[str]) -> SectorView:

@@ -8,7 +8,7 @@ scans and the probability-ratio diagnostics share one code path.
 
 Trials are reproducible: each (code, p, trial) triple derives its own
 generator from the master seed by spawn keys, so results do not depend on
-execution order or thread count.
+execution order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gf2 import BinaryVector
-from .wegner import class_log_values
+from .wegner import class_log_values, dominant_class, log_sum_exp
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,11 @@ class DecodeOutcome:
     log_z_tot: float
     ties: tuple = ()
     success: Optional[bool] = None
+    e_s: Optional[BinaryVector] = None  # the error solved for the syndrome
 
     @property
     def p_succ_conditional(self) -> float:
         return math.exp(self.log_z_max - self.log_z_tot)
-
-
-def _logsumexp(vals: np.ndarray) -> float:
-    mx = float(vals.max())
-    return mx + math.log(float(np.exp(vals - mx).sum()))
 
 
 def ml_decode(code, sector, s: BinaryVector, beta: float, budget_log2: int = 24) -> DecodeOutcome:
@@ -101,32 +97,23 @@ def ml_decode(code, sector, s: BinaryVector, beta: float, budget_log2: int = 24)
     view = code.sector(sector)
     e_s = view.solve_syndrome(s)
     vals = class_log_values(code, sector, e_s, beta, budget_log2)
-    best = float(vals.max())
-    tie_labels = tuple(int(t) for t in np.flatnonzero(vals == best))
-    label = tie_labels[0]
-    if len(tie_labels) > 1:
-        rep = view.representative(label, budget_log2)
-        for other in tie_labels[1:]:
-            cand = view.representative(other, budget_log2)
-            if cand.lex_less(rep):
-                label, rep = other, cand
+    label, ties = dominant_class(view, vals, budget_log2)
     return DecodeOutcome(
         syndrome=s,
         label=label,
         log_z=vals,
-        log_z_max=best,
-        log_z_tot=_logsumexp(vals),
-        ties=tie_labels if len(tie_labels) > 1 else (),
+        log_z_max=float(vals[label]),
+        log_z_tot=log_sum_exp(vals),
+        ties=ties,
+        e_s=e_s,
     )
 
 
 def decode_error(code, sector, e: BinaryVector, beta: float, budget_log2: int = 24) -> DecodeOutcome:
     """Decode the syndrome of a known error and score the decision against it."""
     view = code.sector(sector)
-    s = view.syndrome(e)
-    out = ml_decode(code, sector, s, beta, budget_log2)
-    truth = view.class_label(e ^ view.solve_syndrome(s))
-    out.success = out.label == truth
+    out = ml_decode(code, sector, view.syndrome(e), beta, budget_log2)
+    out.success = out.label == view.class_label(e ^ out.e_s)
     return out
 
 
@@ -248,16 +235,15 @@ def psucc_exact(code, sector, p: float, budget_log2: int = 24) -> tuple[float, f
     decisions = {}
     for s in view.all_syndromes():
         out = ml_decode(code, sector, s, beta, budget_log2)
-        decisions[s.bits] = out.label
+        decisions[s.bits] = out
         sum_zmax += math.exp(out.log_z_max)
     exhaustive = 0.0
     for bits in range(1 << nbits):
         e = BinaryVector(bits, nbits)
         w = e.weight()
         prob = p**w * (1 - p) ** (nbits - w)
-        s = view.syndrome(e)
-        truth = view.class_label(e ^ view.solve_syndrome(s))
-        if decisions[s.bits] == truth:
+        out = decisions[view.syndrome(e).bits]
+        if out.label == view.class_label(e ^ out.e_s):
             exhaustive += prob
     return sum_zmax, exhaustive
 
@@ -283,7 +269,6 @@ def threshold_scan(
     beta: Optional[float] = None,
     budget_log2: int = 24,
     sink: Optional[Callable[[dict], None]] = None,
-    executor=None,
 ) -> ThresholdScan:
     """P_succ(p) per family member plus a finite-size crossing estimate.
 
@@ -295,38 +280,30 @@ def threshold_scan(
         raise ValueError("need at least two family members to locate a crossing")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    jobs = [
-        (ci, pi, code, float(p))
-        for ci, code in enumerate(code_family)
-        for pi, p in enumerate(p_grid)
-    ]
-
-    def run_job(job):
-        ci, pi, code, p = job
-        return estimate_psucc(
-            code, sector, p, trials, seed=seed, beta=beta,
-            budget_log2=budget_log2, sink=None, code_idx=ci, p_idx=pi,
-        )
-
-    if executor is None:
-        results = [run_job(j) for j in jobs]
-    else:
-        results = list(executor.map(run_job, jobs))
-    curves = [[None] * len(p_grid) for _ in code_family]
-    for (ci, pi, _, _), est in zip(jobs, results):
-        curves[ci][pi] = est
-        if sink is not None:
-            sink(
-                {
-                    "code_index": ci,
-                    "n": code_family[ci].n,
-                    "p": est.p,
-                    "beta": est.beta,
-                    "p_succ": est.mean_success,
-                    "stderr": est.stderr_success,
-                    "mean_ratio": est.mean_ratio,
-                }
+    curves = [
+        [
+            estimate_psucc(
+                code, sector, float(p), trials, seed=seed, beta=beta,
+                budget_log2=budget_log2, code_idx=ci, p_idx=pi,
             )
+            for pi, p in enumerate(p_grid)
+        ]
+        for ci, code in enumerate(code_family)
+    ]
+    if sink is not None:
+        for ci, curve in enumerate(curves):
+            for est in curve:
+                sink(
+                    {
+                        "code_index": ci,
+                        "n": code_family[ci].n,
+                        "p": est.p,
+                        "beta": est.beta,
+                        "p_succ": est.mean_success,
+                        "stderr": est.stderr_success,
+                        "mean_ratio": est.mean_ratio,
+                    }
+                )
 
     crossings = []
     for ci in range(len(code_family) - 1):

@@ -242,11 +242,7 @@ def mat_vec(m: BinaryMatrix, v: BinaryVector) -> BinaryVector:
     """m @ v^T over GF(2); result length = rows(m)."""
     if v.n != m.cols:
         raise ValueError(f"length mismatch: vector {v.n}, matrix cols {m.cols}")
-    bits = 0
-    for i, r in enumerate(m.row_bits):
-        if _parity(r & v.bits):
-            bits |= 1 << i
-    return BinaryVector(bits, m.rows)
+    return BinaryVector(parities(m.row_bits, v.bits), m.rows)
 
 
 def mat_mul_t(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -295,18 +291,28 @@ def trace_inner(e1: BinaryVector, e2: BinaryVector) -> int:
 # -- elimination -------------------------------------------------------------
 
 
-def rref(m: BinaryMatrix) -> tuple[BinaryMatrix, int, list[int]]:
-    """Reduced row-echelon form.
+def parities(rows: Sequence[int], bits: int) -> int:
+    """Packed parities: bit i is <rows[i], bits> mod 2."""
+    out = 0
+    for i, r in enumerate(rows):
+        if _parity(r & bits):
+            out |= 1 << i
+    return out
 
-    Returns:
-        (R, rank, pivot_cols) with R the fully reduced form (zero rows kept
-        at the bottom) and pivot_cols the pivot column indices in order.
+
+def eliminate(rows: list[int], cols: Iterable[int]) -> list[int]:
+    """Gauss-Jordan elimination of ``rows`` in place; returns the pivot columns.
+
+    Columns are tried in the order given, each pivot being the first
+    remaining row with that bit set, and the pivot column is cleared from
+    every other row.  Afterwards row i holds pivot i and the rows past the
+    rank are zero on the columns tried.  Bits in columns not tried (an
+    augmented block) are carried along by the row operations.
     """
-    rows = list(m.row_bits)
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for col in range(m.cols):
+    for col in cols:
         if r >= nrows:
             break
         sel = 1 << col
@@ -319,7 +325,19 @@ def rref(m: BinaryMatrix) -> tuple[BinaryMatrix, int, list[int]]:
                 rows[i] ^= rows[r]
         pivots.append(col)
         r += 1
-    return BinaryMatrix(rows, m.cols), r, pivots
+    return pivots
+
+
+def rref(m: BinaryMatrix) -> tuple[BinaryMatrix, int, list[int]]:
+    """Reduced row-echelon form.
+
+    Returns:
+        (R, rank, pivot_cols) with R the fully reduced form (zero rows kept
+        at the bottom) and pivot_cols the pivot column indices in order.
+    """
+    rows = list(m.row_bits)
+    pivots = eliminate(rows, range(m.cols))
+    return BinaryMatrix(rows, m.cols), len(pivots), pivots
 
 
 def rank(m: BinaryMatrix) -> int:
@@ -354,47 +372,55 @@ def exact_dual(m: BinaryMatrix) -> BinaryMatrix:
     return nullspace(m)
 
 
+class SolveMap:
+    """Particular solutions of m x^T = s for every s, from one elimination.
+
+    m is eliminated with the identity appended, so reduced row i carries the
+    row transform t_i.  For a pivot row, bit pivot_i of the solution is
+    <t_i, s>; the transforms of the zero rows are the consistency checks
+    <t_i, s> = 0.  The solution is the one that eliminating m augmented by
+    s alone gives.
+    """
+
+    def __init__(self, m: BinaryMatrix):
+        rows = [r | (1 << (m.cols + i)) for i, r in enumerate(m.row_bits)]
+        self._pivots = eliminate(rows, range(m.cols))
+        transforms = [r >> m.cols for r in rows]
+        self.rows, self.cols = m.rows, m.cols
+        self.rank = len(self._pivots)
+        self._solve_rows = transforms[: self.rank]
+        self._check_rows = transforms[self.rank :]
+
+    def solve(self, s: BinaryVector) -> Optional[BinaryVector]:
+        """The particular solution for s, or None when s is not reachable."""
+        if s.n != self.rows:
+            raise ValueError(f"syndrome length {s.n} != rows {self.rows}")
+        if parities(self._check_rows, s.bits):
+            return None
+        bits = 0
+        for t, col in zip(self._solve_rows, self._pivots):
+            if _parity(t & s.bits):
+                bits |= 1 << col
+        return BinaryVector(bits, self.cols)
+
+
 def solve(m: BinaryMatrix, s: BinaryVector) -> Optional[BinaryVector]:
     """One particular solution x of m x^T = s, or None when inconsistent."""
-    if s.n != m.rows:
-        raise ValueError(f"syndrome length {s.n} != rows {m.rows}")
-    aug_col = 1 << m.cols
-    rows = [r | (aug_col if s.bit(i) else 0) for i, r in enumerate(m.row_bits)]
-    nrows = len(rows)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(m.cols):
-        if r >= nrows:
-            break
-        sel = 1 << col
-        pivot = next((i for i in range(r, nrows) if rows[i] & sel), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(nrows):
-            if i != r and rows[i] & sel:
-                rows[i] ^= rows[r]
-        pivots.append((r, col))
-        r += 1
-    mask = aug_col - 1
-    for i in range(r, nrows):
-        if rows[i] & aug_col and not (rows[i] & mask):
-            return None
-    bits = 0
-    for i, col in pivots:
-        if rows[i] & aug_col:
-            bits |= 1 << col
-    return BinaryVector(bits, m.cols)
+    return SolveMap(m).solve(s)
 
 
 class RowReducer:
-    """Reduces vectors modulo a fixed row space; reusable across many calls."""
+    """Reduces vectors modulo a fixed row space; reusable across many calls.
 
-    def __init__(self, m: BinaryMatrix):
-        r, rk, pivots = rref(m)
+    ``cols`` is the pivot column order (default 0, 1, ...); the reduced
+    vector is zero on every pivot column.
+    """
+
+    def __init__(self, m: BinaryMatrix, cols: Optional[Iterable[int]] = None):
+        rows = list(m.row_bits)
+        self._pivots = eliminate(rows, range(m.cols) if cols is None else cols)
         self.cols = m.cols
-        self._rows = r.row_bits[:rk]
-        self._pivots = pivots
+        self._rows = rows[: len(self._pivots)]
 
     @property
     def rank(self) -> int:
@@ -419,14 +445,11 @@ def invert(m: BinaryMatrix) -> BinaryMatrix:
     """Inverse of a square full-rank GF(2) matrix."""
     if m.rows != m.cols:
         raise ValueError("invert needs a square matrix")
-    n = m.rows
-    aug = BinaryMatrix(
-        [r | (1 << (n + i)) for i, r in enumerate(m.row_bits)], 2 * n
-    )
-    red, rk, pivots = rref(aug)
-    if rk != n or pivots != list(range(n)):
+    # full rank: the pivots are 0..n-1 in order, so the row transforms are m^-1
+    solver = SolveMap(m)
+    if solver.rank != m.rows:
         raise ValueError("matrix is singular over GF(2)")
-    return BinaryMatrix([r >> n for r in red.row_bits[:n]], n)
+    return BinaryMatrix(solver._solve_rows, m.rows)
 
 
 # -- packed word enumeration --------------------------------------------------
@@ -602,11 +625,10 @@ def _coset_min_exact(v: BinaryVector, basis: BinaryMatrix):
                 shift ^= gbit
         if low_words is None:
             w = shift.bit_count()
-            if w < best_w or (w == best_w and _lex_min_int(best_bits, shift) != best_bits):
-                if w < best_w:
-                    best_w, best_bits = w, shift
-                else:
-                    best_bits = _lex_min_int(best_bits, shift)
+            if w < best_w:
+                best_w, best_bits = w, shift
+            elif w == best_w:
+                best_bits = _lex_min_int(best_bits, shift)
             continue
         sw = int_to_words(shift, low_words.shape[1])
         wts = popcount_words(low_words ^ sw)
@@ -629,35 +651,18 @@ def _coset_min_exact(v: BinaryVector, basis: BinaryMatrix):
 def _coset_min_isd(v, basis, cap, iters, rng):
     if rng is None:
         rng = np.random.default_rng(0)
-    n = v.n
     best_bits = v.bits
     best_w = v.weight()
-    cols = list(range(n))
+    cols = list(range(v.n))
     for _ in range(iters):
         rng.shuffle(cols)
-        rows = list(basis.row_bits)
-        cand = v.bits
-        r = 0
-        for col in cols:
-            if r >= len(rows):
-                break
-            sel = 1 << col
-            pivot = next((i for i in range(r, len(rows)) if rows[i] & sel), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            for i in range(len(rows)):
-                if i != r and rows[i] & sel:
-                    rows[i] ^= rows[r]
-            if cand & sel:
-                cand ^= rows[r]
-            r += 1
+        # the unique coset element that is zero on the information set
+        cand = RowReducer(basis, cols).reduce_bits(v.bits)
         w = cand.bit_count()
-        if w < best_w or (w == best_w and _lex_min_int(best_bits, cand) != best_bits):
-            if w < best_w:
-                best_w, best_bits = w, cand
-            else:
-                best_bits = _lex_min_int(best_bits, cand)
+        if w < best_w:
+            best_w, best_bits = w, cand
+        elif w == best_w:
+            best_bits = _lex_min_int(best_bits, cand)
         if cap is not None and best_w <= cap:
             break
-    return best_w, BinaryVector(best_bits, n), False
+    return best_w, BinaryVector(best_bits, v.n), False

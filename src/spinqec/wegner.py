@@ -259,11 +259,15 @@ def zc(code, sector, e, c, beta: float, budget_log2: int = 24) -> PartitionValue
     return z0(code, sector, e ^ c, beta, budget_log2)
 
 
+def log_sum_exp(vals: np.ndarray) -> float:
+    """log sum_c exp(vals_c), shifted by the largest value."""
+    mx = float(vals.max())
+    return mx + math.log(float(np.exp(vals - mx).sum()))
+
+
 def ztot(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
     """Z_tot(s; beta) = sum over classes of Z_c; e is any error with syndrome s."""
-    vals = class_log_values(code, sector, e, beta, budget_log2)
-    mx = float(vals.max())
-    return PartitionValue(mx + math.log(np.exp(vals - mx).sum()))
+    return PartitionValue(log_sum_exp(class_log_values(code, sector, e, beta, budget_log2)))
 
 
 def ztot_dual_route(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
@@ -273,25 +277,32 @@ def ztot_dual_route(code, sector, e, beta: float, budget_log2: int = 24) -> Part
     return eval_coset_enum(WegnerModel(view.tot_matrix), e, beta, budget_log2)
 
 
+def dominant_class(view, vals: np.ndarray, budget_log2: int = 24) -> tuple[int, tuple]:
+    """(label, ties): the class with the largest value in ``vals``.
+
+    Exact ties are broken by the lexicographically smallest minimum-weight
+    class representative; ``ties`` lists the tied labels, and is empty when
+    the maximum is unique.
+    """
+    ties = tuple(int(t) for t in np.flatnonzero(vals == vals.max()))
+    if len(ties) == 1:
+        return ties[0], ()
+    label, rep = ties[0], view.representative(ties[0], budget_log2)
+    for other in ties[1:]:
+        cand = view.representative(other, budget_log2)
+        if cand.lex_less(rep):
+            label, rep = other, cand
+    return label, ties
+
+
 def zmax(code, sector, e, beta: float, budget_log2: int = 24):
     """(Z_max, label of c_max): the dominant class at disorder e.
 
-    Exact log-value ties are broken by the lexicographically smallest
-    minimum-weight class representative.
+    Exact log-value ties are broken as in ``dominant_class``.
     """
-    view = code.sector(sector)
-    e = _as_vector(e, view.n_bonds, "e")
     vals = class_log_values(code, sector, e, beta, budget_log2)
-    best = float(vals.max())
-    ties = np.flatnonzero(vals == best)
-    label = int(ties[0])
-    if len(ties) > 1:
-        rep = view.representative(label, budget_log2)
-        for other in ties[1:]:
-            cand = view.representative(int(other), budget_log2)
-            if cand.lex_less(rep):
-                label, rep = int(other), cand
-    return PartitionValue(best), label
+    label, _ = dominant_class(code.sector(sector), vals, budget_log2)
+    return PartitionValue(float(vals[label])), label
 
 
 # -- duality -------------------------------------------------------------------
