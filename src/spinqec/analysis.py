@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import wegner
+from .decoder import nishimori_beta, sample_bits
 from .wegner import BETA_SELF_DUAL, class_log_values, correlator_tot
 
 
@@ -108,8 +109,6 @@ def syndrome_avg_delta_f(code, sector, s, c, p: float, budget_log2: int = 24) ->
     probability Z_b / Z_tot; the matched temperature makes those weights
     the true error probabilities.
     """
-    from .decoder import nishimori_beta
-
     beta = nishimori_beta(p)
     view = code.sector(sector)
     e_s = view.solve_syndrome(s)
@@ -118,8 +117,7 @@ def syndrome_avg_delta_f(code, sector, s, c, p: float, budget_log2: int = 24) ->
     mx = vals.max()
     weights = np.exp(vals - mx)
     weights /= weights.sum()
-    labels = np.arange(len(vals))
-    deltas = (vals[labels] - vals[labels ^ label_c]) / beta
+    deltas = (vals - vals[np.arange(len(vals)) ^ label_c]) / beta
     return float(weights @ deltas)
 
 
@@ -180,8 +178,6 @@ def tension_report(
 
     Empty report for k = 0 families (no defects to price).
     """
-    from .decoder import nishimori_beta, sample_bits
-
     if beta is None:
         beta = nishimori_beta(p)
     view = code.sector(sector)

@@ -154,6 +154,8 @@ class SectorView:
         self._syn_map = SolveMap(syn_matrix)
         self._tables: dict = {}
         self._reps: dict = {}
+        # (key, values) of the last class_log_values call; see wegner
+        self._last_values = None
         self._tot_matrix = None
         # the label a of indicator parities y solves a P = y for the pairing
         # P = logicals . indicators^T: bit i of a is <y, column i of P^-1>
@@ -196,7 +198,11 @@ class SectorView:
 
     def class_label(self, x: BinaryVector) -> int:
         """Label in [0, 2^k) of the class of a zero-syndrome vector x."""
-        if self.syndrome(x).bits:
+        if x.n != self.syn_matrix.cols:
+            raise ValueError(
+                f"length mismatch: vector {x.n}, matrix cols {self.syn_matrix.cols}"
+            )
+        if parities(self.syn_matrix.row_bits, x.bits):
             raise ValueError("vector has a nonzero syndrome")
         return parities(self._label_rows, x.bits)
 

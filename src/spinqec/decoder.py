@@ -57,6 +57,16 @@ def nishimori_beta(p: float) -> float:
     return 0.5 * math.log((1 - p) / p)
 
 
+def _matched_beta(p: float) -> float:
+    """beta_p for a run given no beta; rejects p where it is not finite and positive."""
+    if not 0 < p < 0.5:
+        raise ValueError(
+            f"no Nishimori temperature at p = {p}: beta_p is infinite at p = 0 "
+            "and zero at p = 1/2; pass beta explicitly"
+        )
+    return nishimori_beta(p)
+
+
 def sample_bits(p: float, nbits: int, rng: np.random.Generator) -> BinaryVector:
     """nbits independent Bernoulli(p) bits as a packed vector."""
     bits = 0
@@ -179,11 +189,12 @@ def estimate_psucc(
 
     ``sector`` is "X"/"Z"/None for a single decoding problem or "both" to
     decode the two CSS sectors independently (success = both correct).
+    Without ``beta`` the decoder runs at beta_p, which needs 0 < p < 1/2.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if beta is None:
-        beta = nishimori_beta(p)
+        beta = _matched_beta(p)
     nbits = _sector_bits(code, sector)
     succ = np.empty(trials)
     ratios = np.empty(trials)
@@ -280,6 +291,9 @@ def threshold_scan(
         raise ValueError("need at least two family members to locate a crossing")
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if beta is None:
+        for p in p_grid:  # the whole grid, before any point is decoded
+            _matched_beta(float(p))
     curves = [
         [
             estimate_psucc(

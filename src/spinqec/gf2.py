@@ -295,7 +295,7 @@ def parities(rows: Sequence[int], bits: int) -> int:
     """Packed parities: bit i is <rows[i], bits> mod 2."""
     out = 0
     for i, r in enumerate(rows):
-        if _parity(r & bits):
+        if (r & bits).bit_count() & 1:
             out |= 1 << i
     return out
 
@@ -502,9 +502,10 @@ class CosetTable:
     where r0 = len(generators) - class_gens.  Intended use: r0 spans the
     degeneracy group, class generators span logical representatives, and
     one scan yields per-class weight histograms.
-    """
 
-    _PAD = 256  # histogram stride; requires nbits < 256
+    Every scan XORs the shift into one scratch array owned by the table, so
+    a table is not reentrant: scan it from one thread at a time.
+    """
 
     def __init__(
         self,
@@ -513,8 +514,6 @@ class CosetTable:
         class_gens: int = 0,
         max_log2: int = 24,
     ):
-        if nbits >= self._PAD:
-            raise ValueError("CosetTable supports < 256 bond bits")
         self.n_gens = len(gen_ints)
         if self.n_gens > max_log2:
             raise BudgetExceededError(
@@ -526,31 +525,39 @@ class CosetTable:
         self.rank_gens = self.n_gens - class_gens
         self.size = 1 << self.n_gens
         self.n_classes = 1 << class_gens
-        self._words = span_table(ints_to_words(list(gen_ints), nbits))
-        self._flat = self._words[:, 0] if self._words.shape[1] == 1 else None
+        words = span_table(ints_to_words(list(gen_ints), nbits))
+        self._words = words[:, 0] if words.shape[1] == 1 else words
+        self._scratch = np.empty_like(self._words)
         if class_gens:
+            # key = class * (nbits + 1) + weight, below n_classes * (nbits + 1)
             idx = np.arange(self.size, dtype=np.int64) >> self.rank_gens
-            self._class_key = (idx * self._PAD).astype(np.int64)
+            key_type = np.min_scalar_type(self.n_classes * (nbits + 1))
+            self._class_key = (idx * (nbits + 1)).astype(key_type)
         else:
             self._class_key = None
 
     def weights(self, shift: int = 0) -> np.ndarray:
-        """Weight of every element of the shifted span, in index order."""
-        if self._flat is not None:
-            sw = np.uint64(shift)
-            return np.bitwise_count(self._flat ^ sw).astype(np.int64)
+        """Weight of every element of the shifted span, in index order.
+
+        The smallest unsigned type that holds nbits (uint8 up to 255 bits).
+        """
+        if self._words.ndim == 1:
+            np.bitwise_xor(self._words, np.uint64(shift), out=self._scratch)
+            return np.bitwise_count(self._scratch)
         sw = int_to_words(shift, self._words.shape[1])
-        return popcount_words(self._words ^ sw)
+        np.bitwise_xor(self._words, sw, out=self._scratch)
+        return np.bitwise_count(self._scratch).sum(
+            axis=-1, dtype=np.min_scalar_type(self.nbits)
+        )
 
     def class_histograms(self, shift: int = 0) -> np.ndarray:
         """(n_classes, nbits + 1) counts of element weights per class."""
         w = self.weights(shift)
+        stride = self.nbits + 1
         if self._class_key is None:
-            hist = np.bincount(w, minlength=self._PAD)
-            return hist[np.newaxis, : self.nbits + 1].astype(np.int64)
-        keys = self._class_key + w
-        hist = np.bincount(keys, minlength=self.n_classes * self._PAD)
-        return hist.reshape(self.n_classes, self._PAD)[:, : self.nbits + 1]
+            return np.bincount(w, minlength=stride)[np.newaxis]
+        hist = np.bincount(self._class_key + w, minlength=self.n_classes * stride)
+        return hist.reshape(self.n_classes, stride)
 
 
 class BudgetExceededError(RuntimeError):

@@ -18,6 +18,7 @@ path used by decoding.  Their agreement is a tested invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,17 +182,24 @@ def _log_probs(beta: float, n_bonds: int) -> tuple[float, float]:
     return -a, 2.0 * beta - a
 
 
+@functools.lru_cache(maxsize=8)
+def _weight_log_probs(n_bonds: int, width: int, beta: float) -> np.ndarray:
+    """log(p'^w (1-p')^(n_bonds - w)) for w in [0, width); shared, read-only."""
+    lp, l1p = _log_probs(beta, n_bonds)
+    w = np.arange(width, dtype=np.float64)
+    base = w * lp + (n_bonds - w) * l1p
+    base.flags.writeable = False
+    return base
+
+
 def _log_z_from_hists(hists: np.ndarray, n_bonds: int, beta: float) -> np.ndarray:
     """Log of sum_w N(w) p'^w (1-p')^(n_bonds - w) per histogram row."""
     hists = np.atleast_2d(hists)
-    lp, l1p = _log_probs(beta, n_bonds)
-    w = np.arange(hists.shape[1], dtype=np.float64)
-    base = w * lp + (n_bonds - w) * l1p
-    with np.errstate(divide="ignore"):
-        terms = np.where(hists > 0, np.log(np.maximum(hists, 1)) + base, -np.inf)
+    base = _weight_log_probs(n_bonds, hists.shape[1], beta)
+    terms = np.log(np.maximum(hists, 1)) + base
+    terms[hists == 0] = -np.inf
     mx = terms.max(axis=1)
-    out = mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))
-    return out
+    return mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))
 
 
 def eval_coset_enum(
@@ -236,12 +244,21 @@ def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.
     One enumeration of ker(syndrome matrix) = span(degeneracy group,
     logical basis) yields all class values; label bits are the logical
     basis coefficients.
+
+    The returned array is shared and read-only: the sector view keeps the
+    last (e, beta, budget_log2) it evaluated with its values, and a repeated
+    call returns the same array without a new enumeration.
     """
     view = code.sector(sector)
     e = _as_vector(e, view.n_bonds, "e")
+    key = (e.bits, float(beta), budget_log2)
+    if view._last_values is not None and view._last_values[0] == key:
+        return view._last_values[1]
     table = view.coset_table(budget_log2)
-    hists = table.class_histograms(e.bits)
-    return _log_z_from_hists(hists, view.n_bonds, beta)
+    vals = _log_z_from_hists(table.class_histograms(e.bits), view.n_bonds, beta)
+    vals.flags.writeable = False
+    view._last_values = (key, vals)
+    return vals
 
 
 def z0(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
@@ -284,7 +301,7 @@ def dominant_class(view, vals: np.ndarray, budget_log2: int = 24) -> tuple[int, 
     class representative; ``ties`` lists the tied labels, and is empty when
     the maximum is unique.
     """
-    ties = tuple(int(t) for t in np.flatnonzero(vals == vals.max()))
+    ties = (vals == vals.max()).nonzero()[0].tolist()
     if len(ties) == 1:
         return ties[0], ()
     label, rep = ties[0], view.representative(ties[0], budget_log2)
@@ -292,7 +309,7 @@ def dominant_class(view, vals: np.ndarray, budget_log2: int = 24) -> tuple[int, 
         cand = view.representative(other, budget_log2)
         if cand.lex_less(rep):
             label, rep = other, cand
-    return label, ties
+    return label, tuple(ties)
 
 
 def zmax(code, sector, e, beta: float, budget_log2: int = 24):

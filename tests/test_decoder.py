@@ -241,6 +241,22 @@ def test_estimate_psucc_trial_records():
     assert all(r["log_zmax"] <= r["log_ztot"] + 1e-12 for r in rows)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_estimate_psucc_needs_beta_where_beta_p_is_not_finite(p, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before rejecting p")
+
+    monkeypatch.setattr(decoder, "sample_bits", no_sampling)
+    with pytest.raises(ValueError, match="pass beta"):
+        estimate_psucc(toric_code(2), "Z", p, 5)
+
+
+def test_estimate_psucc_at_p_zero_with_explicit_beta():
+    est = estimate_psucc(toric_code(2), "both", 0.0, 5, beta=nishimori_beta(0.05))
+    assert est.mean_success == 1.0
+    assert est.p == 0.0
+
+
 def test_exhaustive_success_equals_zmax_sum():
     code = toric_code(2)
     for sector in ("X", "Z"):
@@ -264,6 +280,15 @@ def test_threshold_scan_rejects_bad_inputs():
         threshold_scan(family, [0.1], trials=10)
     with pytest.raises(ValueError):
         threshold_scan([toric_code(2), toric_code(3)], [0.1], trials=0)
+
+
+def test_threshold_scan_checks_the_grid_before_decoding(monkeypatch):
+    def no_decoding(*args):
+        raise AssertionError("decoded before rejecting the grid")
+
+    monkeypatch.setattr(decoder, "_decode_sectors", no_decoding)
+    with pytest.raises(ValueError, match="infinite at p = 0"):
+        threshold_scan([toric_code(2), toric_code(3)], [0.1, 0.0], trials=5)
 
 
 def test_threshold_scan_smoke_and_deterministic():

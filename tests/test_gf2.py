@@ -301,6 +301,30 @@ def test_class_histograms_partition():
         assert np.array_equal(hist[cls], np.bincount(block, minlength=11))
 
 
+@pytest.mark.parametrize(
+    "nbits, n_gens, class_gens",
+    [(40, 8, 2), (64, 7, 0), (300, 7, 3), (130, 6, 0)],
+)
+def test_coset_table_scan_matches_int64_reference(nbits, n_gens, class_gens):
+    # one- and multi-word tables, with and without classes; 300 bits is
+    # past the old 256-bit histogram stride
+    rng = np.random.default_rng(nbits)
+    gens = [int.from_bytes(rng.bytes(nbits // 8 + 1), "little") % (1 << nbits)
+            for _ in range(n_gens)]
+    t = CosetTable(gens, nbits, class_gens=class_gens)
+    for shift in (0, gens[0] ^ (1 << (nbits - 1)), (1 << nbits) - 1):
+        elems = [0]
+        for g in gens:
+            elems += [x ^ g for x in elems]
+        ref_w = np.array([(shift ^ x).bit_count() for x in elems], dtype=np.int64)
+        assert np.array_equal(t.weights(shift).astype(np.int64), ref_w)
+        labels = np.arange(t.size, dtype=np.int64) >> (n_gens - class_gens)
+        ref = np.bincount(labels * (nbits + 1) + ref_w, minlength=t.n_classes * (nbits + 1))
+        assert np.array_equal(
+            t.class_histograms(shift), ref.reshape(t.n_classes, nbits + 1)
+        )
+
+
 def test_coset_table_budget():
     with pytest.raises(gf2.BudgetExceededError):
         CosetTable([1] * 10, 4, max_log2=8)

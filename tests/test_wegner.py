@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinqec import codes, gf2
+from spinqec import analysis, codes, gf2
+from spinqec.decoder import nishimori_beta
 from spinqec.gf2 import BinaryMatrix, BinaryVector, BudgetExceededError
 from spinqec.wegner import (
     BETA_SELF_DUAL,
@@ -323,6 +324,60 @@ def test_css_partition_splits_into_sector_product():
         x_part = z0(code, "X", v_part, 0.8).log_value
         z_part = z0(code, "Z", u_part, 0.8).log_value
         assert whole == pytest.approx(x_part + z_part, abs=1e-12)
+
+
+# -- class-value memo ----------------------------------------------------------------
+
+_MEMO_FAMILIES = [
+    lambda: codes.toric_code(2),
+    lambda: codes.toric_code(3),
+    lambda: codes.debierre_turban_code(3, 3),
+]
+
+
+def test_class_values_memo_matches_fresh_codes():
+    rng = np.random.default_rng(23)
+    warm = [make() for make in _MEMO_FAMILIES]
+    pools = [[int(rng.integers(0, 1 << code.n)) for _ in range(3)] for code in warm]
+    for _ in range(60):
+        i = int(rng.integers(len(warm)))
+        sector = ("X", "Z")[int(rng.integers(2))]
+        e = pools[i][int(rng.integers(3))]
+        beta = (0.35, 1.1)[int(rng.integers(2))]
+        got = class_log_values(warm[i], sector, e, beta)
+        assert class_log_values(warm[i], sector, e, beta) is got
+        ref = class_log_values(_MEMO_FAMILIES[i](), sector, e, beta)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_class_values_memo_keeps_budget_check_and_is_read_only():
+    code = codes.debierre_turban_code(3, 3)
+    vals = class_log_values(code, "Z", 0b101, 0.8)
+    assert not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0] = 0.0
+    with pytest.raises(BudgetExceededError):
+        class_log_values(code, "Z", 0b101, 0.8, budget_log2=3)
+
+
+def test_defect_free_energies_equal_on_warm_and_cold_views():
+    p = 0.1
+    beta = nishimori_beta(p)
+    warm = codes.toric_code(2)
+    view = warm.sector("Z")
+    for s in view.all_syndromes():
+        e_s = view.solve_syndrome(s)
+        class_log_values(warm, "Z", e_s, beta)
+        for lab in range(1, 1 << view.k):
+            c = view.class_vector(lab)
+            calls = [
+                lambda code: analysis.delta_f_max(code, "Z", e_s, c, beta),
+                lambda code: analysis.delta_f_0(code, "Z", e_s, c, beta),
+                lambda code: analysis.syndrome_avg_delta_f(code, "Z", s, c, p),
+                lambda code: ztot(code, "Z", e_s, beta).log_value,
+            ]
+            for call in calls:
+                assert call(warm) == call(codes.toric_code(2))
 
 
 # -- correlators --------------------------------------------------------------------
