@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, analysis, codes, decoder, montecarlo, wegner
-from .gf2 import BinaryVector
+from .gf2 import BinaryVector, BudgetExceededError
 
 OUTDIR_ENV = "SPINQEC_OUTDIR"
 
@@ -275,7 +275,7 @@ def cmd_decode(args) -> int:
 def cmd_mc(args) -> int:
     code = codes.toric_code(args.size)
     view = code.sector(args.sector)
-    model = wegner.WegnerModel(view.theta)
+    model = wegner.sector_model(code, args.sector)
     beta = decoder.nishimori_beta(args.p) if args.beta == "nishimori" else float(args.beta)
     rng = np.random.default_rng(args.seed)
     e = decoder.sample_bits(args.p, view.n_bonds, rng)
@@ -378,7 +378,11 @@ def main(argv=None) -> int:
         for sp in subparsers:
             sp.set_defaults(**cfg)
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, BudgetExceededError, argparse.ArgumentTypeError) as exc:
+        # an argument value rejected after parsing
+        ap.exit(2, f"spinqec: error: {exc}\n")
 
 
 if __name__ == "__main__":

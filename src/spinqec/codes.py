@@ -152,11 +152,14 @@ class SectorView:
         self.rank_theta = self.theta_basis.rows
         self.n_gauge = theta.rows - self.rank_theta
         self._syn_map = SolveMap(syn_matrix)
-        self._tables: dict = {}
+        self._table = None
         self._reps: dict = {}
         # (key, values) of the last class_log_values call; see wegner
         self._last_values = None
         self._tot_matrix = None
+        # the sector and zero-syndrome-space spin models, built by wegner on first use
+        self._sector_model = None
+        self._tot_model = None
         # the label a of indicator parities y solves a P = y for the pairing
         # P = logicals . indicators^T: bit i of a is <y, column i of P^-1>
         self._pair_inv_cols = []
@@ -241,14 +244,14 @@ class SectorView:
     # -- enumeration machinery -----------------------------------------------
 
     def coset_table(self, budget_log2: int = 24) -> CosetTable:
-        """Span of [theta basis | logicals]; class label = index >> rank."""
-        key = ("table", budget_log2)
-        if key not in self._tables:
+        """Span of [theta basis | logicals], built once; class label = index >> rank."""
+        # an over-budget call raises in the constructor, before it allocates
+        if self._table is None or self.rank_theta + self.k > budget_log2:
             gens = list(self.theta_basis.row_bits) + list(self.logicals.row_bits)
-            self._tables[key] = CosetTable(
+            self._table = CosetTable(
                 gens, self.n_bonds, class_gens=self.k, max_log2=budget_log2
             )
-        return self._tables[key]
+        return self._table
 
     @property
     def tot_matrix(self) -> BinaryMatrix:

@@ -11,9 +11,12 @@ with electric disorder e, magnetic insertion m, and N_g = rows - rank(Theta).
 Every bond factor is < 1, so sums are accumulated in log domain throughout.
 
 Two exact evaluators are provided: a direct sum over all 2^N_s spin
-configurations (any couplings, any m) and a weight-enumerator sum over the
-2^rank distinct bond patterns (uniform couplings, m = 0), which is the fast
-path used by decoding.  Their agreement is a tested invariant.
+configurations (any couplings, any m), one blocked loop that also serves
+both correlators (numerator and denominator in one pass) and the thermal
+statistics, and a weight-enumerator sum over the 2^rank distinct bond
+patterns (uniform couplings, m = 0), the fast path used by decoding.  Their
+agreement is a tested invariant.  Each sector view builds its two spin
+models once, on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ _BLOCK_LOG2 = 16
 
 
 class WegnerModel:
-    """Incidence matrix plus per-bond couplings J_b > 0 (K_b = beta * J_b)."""
+    """Incidence matrix plus read-only per-bond couplings J_b > 0 (K_b = beta * J_b)."""
 
     def __init__(self, theta: BinaryMatrix, couplings=None):
         self.theta = theta
@@ -49,16 +52,26 @@ class WegnerModel:
         self.n_bonds = theta.cols
         if couplings is None:
             couplings = np.ones(self.n_bonds)
-        self.couplings = np.asarray(couplings, dtype=np.float64)
+        self.couplings = np.array(couplings, dtype=np.float64)
         if self.couplings.shape != (self.n_bonds,):
             raise ValueError("couplings must have one entry per bond")
         if np.any(self.couplings <= 0):
             raise ValueError("couplings must be positive")
-        self.theta_basis = row_basis(theta)
-        self.rank = self.theta_basis.rows
-        self.n_gauge = self.n_spins - self.rank
+        self.couplings.flags.writeable = False
         self._theta_arr = None
         self._table = None
+
+    @functools.cached_property
+    def theta_basis(self) -> BinaryMatrix:
+        return row_basis(self.theta)
+
+    @property
+    def rank(self) -> int:
+        return self.theta_basis.rows
+
+    @property
+    def n_gauge(self) -> int:
+        return self.n_spins - self.rank
 
     @property
     def uniform(self) -> bool:
@@ -70,11 +83,11 @@ class WegnerModel:
         return self._theta_arr
 
     def coset_table(self, budget_log2: int = 24) -> CosetTable:
-        if self._table is None:
+        """Weight table of span(Theta), built once; the budget is checked on every call."""
+        # an over-budget call raises in the constructor, before it allocates
+        if self._table is None or self.rank > budget_log2:
             self._table = CosetTable(
-                list(self.theta_basis.row_bits),
-                self.n_bonds,
-                max_log2=budget_log2,
+                list(self.theta_basis.row_bits), self.n_bonds, max_log2=budget_log2
             )
         return self._table
 
@@ -110,6 +123,82 @@ def _as_vector(e, n_bonds: int, name: str) -> BinaryVector:
     return BinaryVector(int(e), n_bonds)
 
 
+def _spin_sums(model: WegnerModel, e: BinaryVector, beta: float, m=None, thermal=False):
+    """The blocked log-domain sum over all 2^N_s spin configurations.
+
+    A configuration with bond values R has frustration g = R + e and
+    exponent sum_b K_b (1 - 2 g_b).  Weights are taken relative to the
+    running maximum exponent ``top``, and every sum is rescaled when it
+    grows.  Returns (top, sums): sums[0] is the sum of all weights; for a
+    nonzero m, sums[1] and sums[2] are the sums over the configurations
+    with bond product +1 and -1 over m; with ``thermal``, the last three
+    are the weighted sums of the energy H = sum_b J_b (2 g_b - 1), of H^2
+    and of g per bond.
+    """
+    j_arr = model.couplings
+    jsum = float(j_arr.sum())
+    k_arr = beta * j_arr
+    ksum = float(k_arr.sum())
+    theta_arr = model.theta_array()
+    e_arr = e.to_array()
+    m_idx = np.array(m.support(), dtype=np.intp) if m is not None and m.bits else None
+    sums = [0.0] if m_idx is None else [0.0, 0.0, 0.0]
+    if thermal:
+        sums += [0.0, 0.0, np.zeros(model.n_bonds)]
+
+    ns = model.n_spins
+    total = 1 << ns
+    block = 1 << min(_BLOCK_LOG2, ns)
+    shifts = np.arange(ns, dtype=np.uint32)
+    top = -np.inf
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.uint32)
+        x = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
+        t = (x @ theta_arr) & 1
+        g = t ^ e_arr
+        expo = ksum - 2.0 * (g @ k_arr)
+        bmax = float(expo.max())
+        if bmax > top:
+            scale = math.exp(top - bmax) if top > -np.inf else 0.0
+            sums = [s * scale for s in sums]
+            top = bmax
+        w = np.exp(expo - top)
+        terms = [float(w.sum())]
+        if m_idx is not None:
+            odd = (t[:, m_idx].sum(axis=1, dtype=np.int64) & 1).astype(bool)
+            terms += [float(w[~odd].sum()), float(w[odd].sum())]
+        if thermal:
+            energy = 2.0 * (g @ j_arr) - jsum
+            terms += [float(w @ energy), float(w @ energy**2), w @ g]
+        sums = [s + d for s, d in zip(sums, terms)]
+    return top, sums
+
+
+def _spin_values(model: WegnerModel, e, beta: float, m, spin_budget: int):
+    """(Z[e, m], Z[e, 0]) from one spin pass; equal when m is None or zero."""
+    if model.n_spins > spin_budget:
+        raise BudgetExceededError(
+            f"{model.n_spins} spins exceed the enumeration budget {spin_budget}; "
+            "eval_coset_enum covers m = 0 with uniform couplings"
+        )
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    e = _as_vector(e, model.n_bonds, "e")
+    if m is not None:
+        m = _as_vector(m, model.n_bonds, "m")
+    log_norm = float(np.sum(np.log(2.0 * np.cosh(beta * model.couplings))))
+    log_norm += model.n_gauge * LOG2
+    top, sums = _spin_sums(model, e, beta, m)
+
+    def value(net: float) -> PartitionValue:
+        if net == 0.0:
+            return PartitionValue(-np.inf, 0)
+        return PartitionValue(top + math.log(abs(net)) - log_norm, 1 if net > 0 else -1)
+
+    den = value(sums[0])
+    return (den if len(sums) == 1 else value(sums[1] - sums[2])), den
+
+
 def eval_spin_enum(
     model: WegnerModel,
     e,
@@ -122,72 +211,18 @@ def eval_spin_enum(
     Supports non-uniform couplings and magnetic insertions m (sign-carrying
     sums).  Exact; cost 2^N_s.
     """
-    if model.n_spins > spin_budget:
-        raise BudgetExceededError(
-            f"{model.n_spins} spins exceed the enumeration budget "
-            f"{spin_budget}; use eval_coset_enum for m = 0"
-        )
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    e = _as_vector(e, model.n_bonds, "e")
-    k_arr = beta * model.couplings
-    ksum = float(k_arr.sum())
-    log_norm = float(np.sum(np.log(2.0 * np.cosh(k_arr)))) + model.n_gauge * LOG2
-    theta_arr = model.theta_array()
-    e_arr = e.to_array()
-    m_idx = None
-    if m is not None:
-        m = _as_vector(m, model.n_bonds, "m")
-        m_idx = np.array(m.support(), dtype=np.intp) if m.bits else None
-
-    ns = model.n_spins
-    total = 1 << ns
-    block = 1 << min(_BLOCK_LOG2, ns)
-    shifts = np.arange(ns, dtype=np.uint32)
-    running_max = -np.inf
-    acc_pos = 0.0
-    acc_neg = 0.0
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint32)
-        x = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
-        t = (x @ theta_arr) & 1
-        g = t ^ e_arr
-        expo = ksum - 2.0 * (g @ k_arr)
-        if m_idx is not None:
-            neg_mask = (t[:, m_idx].sum(axis=1, dtype=np.int64) & 1).astype(bool)
-        else:
-            neg_mask = None
-        bmax = float(expo.max())
-        if bmax > running_max:
-            scale = math.exp(running_max - bmax) if running_max > -np.inf else 0.0
-            acc_pos *= scale
-            acc_neg *= scale
-            running_max = bmax
-        w = np.exp(expo - running_max)
-        if neg_mask is None:
-            acc_pos += float(w.sum())
-        else:
-            acc_neg += float(w[neg_mask].sum())
-            acc_pos += float(w[~neg_mask].sum())
-    net = acc_pos - acc_neg
-    if net == 0.0:
-        return PartitionValue(-np.inf, 0)
-    sign = 1 if net > 0 else -1
-    return PartitionValue(running_max + math.log(abs(net)) - log_norm, sign)
-
-
-def _log_probs(beta: float, n_bonds: int) -> tuple[float, float]:
-    """(log p', log(1 - p')) for the bond-flip weight p' = 1 / (1 + e^{2 beta})."""
-    a = np.logaddexp(0.0, 2.0 * beta)  # log(1 + e^{2 beta})
-    return -a, 2.0 * beta - a
+    return _spin_values(model, e, beta, m, spin_budget)[0]
 
 
 @functools.lru_cache(maxsize=8)
 def _weight_log_probs(n_bonds: int, width: int, beta: float) -> np.ndarray:
-    """log(p'^w (1-p')^(n_bonds - w)) for w in [0, width); shared, read-only."""
-    lp, l1p = _log_probs(beta, n_bonds)
+    """log(p'^w (1-p')^(n_bonds - w)) for w in [0, width); shared, read-only.
+
+    p' = 1 / (1 + e^{2 beta}) is the bond-flip weight.
+    """
+    a = np.logaddexp(0.0, 2.0 * beta)  # log(1 + e^{2 beta}) = -log p'
     w = np.arange(width, dtype=np.float64)
-    base = w * lp + (n_bonds - w) * l1p
+    base = w * -a + (n_bonds - w) * (2.0 * beta - a)
     base.flags.writeable = False
     return base
 
@@ -229,13 +264,21 @@ def eval_coset_enum(
 
 
 def sector_model(code, sector) -> WegnerModel:
-    """Degeneracy-group spin model of one sector (Theta = sector generators)."""
-    return WegnerModel(code.sector(sector).theta)
+    """Degeneracy-group spin model of one sector (Theta = sector generators), built once."""
+    view = code.sector(sector)
+    if view._sector_model is None:
+        model = WegnerModel(view.theta)
+        model.theta_basis = view.theta_basis  # the view has eliminated theta already
+        view._sector_model = model
+    return view._sector_model
 
 
 def tot_model(code, sector) -> WegnerModel:
-    """Zero-syndrome-space model (Theta = exact dual of the syndrome matrix)."""
-    return WegnerModel(code.sector(sector).tot_matrix)
+    """Zero-syndrome-space model (Theta = exact dual of the syndrome matrix), built once."""
+    view = code.sector(sector)
+    if view._tot_model is None:
+        view._tot_model = WegnerModel(view.tot_matrix)
+    return view._tot_model
 
 
 def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.ndarray:
@@ -263,9 +306,7 @@ def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.
 
 def z0(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
     """Z_0(e; beta): partition function of the sector model at disorder e."""
-    view = code.sector(sector)
-    e = _as_vector(e, view.n_bonds, "e")
-    return eval_coset_enum(WegnerModel(view.theta), e, beta, budget_log2)
+    return eval_coset_enum(sector_model(code, sector), e, beta, budget_log2)
 
 
 def zc(code, sector, e, c, beta: float, budget_log2: int = 24) -> PartitionValue:
@@ -289,9 +330,7 @@ def ztot(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
 
 def ztot_dual_route(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
     """Z_tot evaluated directly on the dual (zero-syndrome-space) model."""
-    view = code.sector(sector)
-    e = _as_vector(e, view.n_bonds, "e")
-    return eval_coset_enum(WegnerModel(view.tot_matrix), e, beta, budget_log2)
+    return eval_coset_enum(tot_model(code, sector), e, beta, budget_log2)
 
 
 def dominant_class(view, vals: np.ndarray, budget_log2: int = 24) -> tuple[int, tuple]:
@@ -367,25 +406,15 @@ def duality_sides(model: WegnerModel, e, beta: float, spin_budget: int = 26):
 
 def correlator_tot(code, sector, e, m, beta: float, spin_budget: int = 26) -> float:
     """Q_tot^m(e; beta) = Z[e, m](dual model) / Z[e, 0](dual model)."""
-    view = code.sector(sector)
-    model = WegnerModel(view.tot_matrix)
-    e = _as_vector(e, view.n_bonds, "e")
-    m = _as_vector(m, view.n_bonds, "m")
-    num = eval_spin_enum(model, e, beta, m=m, spin_budget=spin_budget)
-    den = eval_spin_enum(model, e, beta, spin_budget=spin_budget)
+    num, den = _spin_values(tot_model(code, sector), e, beta, m, spin_budget)
     return num.ratio(den)
 
 
 def correlator_c(code, sector, e, c, m, beta: float, spin_budget: int = 26) -> float:
     """Q_c^m(e; beta) = Z[e+c, m](sector model) / Z[e+c, 0](sector model)."""
     view = code.sector(sector)
-    model = WegnerModel(view.theta)
-    e = _as_vector(e, view.n_bonds, "e")
-    c = _as_vector(c, view.n_bonds, "c")
-    m = _as_vector(m, view.n_bonds, "m")
-    shifted = e ^ c
-    num = eval_spin_enum(model, shifted, beta, m=m, spin_budget=spin_budget)
-    den = eval_spin_enum(model, shifted, beta, spin_budget=spin_budget)
+    shifted = _as_vector(e, view.n_bonds, "e") ^ _as_vector(c, view.n_bonds, "c")
+    num, den = _spin_values(sector_model(code, sector), shifted, beta, m, spin_budget)
     return num.ratio(den)
 
 
@@ -413,44 +442,5 @@ def exact_thermal_stats(model: WegnerModel, e, beta: float, spin_budget: int = 2
     if model.n_spins > spin_budget:
         raise BudgetExceededError("model too large for exact thermal statistics")
     e = _as_vector(e, model.n_bonds, "e")
-    j_arr = model.couplings
-    k_arr = beta * j_arr
-    jsum = float(j_arr.sum())
-    ksum = float(k_arr.sum())
-    theta_arr = model.theta_array()
-    e_arr = e.to_array()
-    ns = model.n_spins
-    total = 1 << ns
-    block = 1 << min(_BLOCK_LOG2, ns)
-    shifts = np.arange(ns, dtype=np.uint32)
-
-    running_max = -np.inf
-    z_acc = 0.0
-    e_acc = 0.0
-    e2_acc = 0.0
-    g_acc = np.zeros(model.n_bonds)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.uint32)
-        x = ((idx[:, None] >> shifts) & 1).astype(np.uint8)
-        t = (x @ theta_arr) & 1
-        g = t ^ e_arr
-        gj = g @ j_arr
-        expo = ksum - 2.0 * beta * gj
-        energy = 2.0 * gj - jsum
-        bmax = float(expo.max())
-        if bmax > running_max:
-            scale = math.exp(running_max - bmax) if running_max > -np.inf else 0.0
-            z_acc *= scale
-            e_acc *= scale
-            e2_acc *= scale
-            g_acc *= scale
-            running_max = bmax
-        w = np.exp(expo - running_max)
-        z_acc += float(w.sum())
-        e_acc += float(w @ energy)
-        e2_acc += float(w @ energy**2)
-        g_acc += w @ g
-    mean_e = e_acc / z_acc
-    mean_e2 = e2_acc / z_acc
-    sat = 1.0 - 2.0 * (g_acc / z_acc)
-    return ThermalStats(mean_e, mean_e2, sat)
+    _, (z, e_sum, e2_sum, g_sum) = _spin_sums(model, e, beta, thermal=True)
+    return ThermalStats(e_sum / z, e2_sum / z, 1.0 - 2.0 * (g_sum / z))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -112,10 +113,26 @@ def test_outdir_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "results" / "sweep.csv").exists()
 
 
-def test_usage_error_exit_code(capsys):
+_BAD_ARGS = {
+    "bad-action": "decode bogus-action",
+    "no-family": "code build",
+    "p-zero": "mc run --p 0",
+    "unknown-sector": "mc run --sector Q",
+    "burn-in-past-sweeps": "mc run --sweeps 5 --burn-in 200",
+    "grid-with-p-zero": "decode sweep --p-grid 0:0.1:0.05",
+    "zero-trials": "decode sweep --trials 0",
+    "one-size": "decode sweep --sizes 2",
+    "size-over-budget": "decode sweep --sizes 4,5",
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_ARGS.values()), ids=list(_BAD_ARGS))
+def test_usage_error_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["decode", "bogus-action"])
+        cli.main(argv.split())
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert re.match(r"spinqec( \w+)?: error: ", err.splitlines()[-1])
 
 
 def test_bad_polynomial_rejected(capsys):

@@ -128,6 +128,27 @@ def test_oracle_equivalence_spin_vs_coset():
         assert b == pytest.approx(a, abs=1e-12)
 
 
+def test_coset_budget_checked_on_every_call():
+    model = WegnerModel(gf2.identity(5))
+    eval_coset_enum(model, 0, 1.0, 24)
+    with pytest.raises(BudgetExceededError):
+        eval_coset_enum(model, 0, 1.0, 2)
+    code = codes.toric_code(3)
+    view = code.sector("Z")
+    table = view.coset_table(24)
+    with pytest.raises(BudgetExceededError):
+        view.coset_table(view.rank_theta + view.k - 1)
+    assert view.coset_table(view.rank_theta + view.k) is table
+    z0(code, "Z", 0, 1.0)
+    with pytest.raises(BudgetExceededError):
+        z0(code, "Z", 0, 1.0, budget_log2=view.rank_theta - 1)
+
+
+def test_one_coset_table_per_view():
+    view = codes.debierre_turban_code(3, 6).sector("Z")
+    assert view.coset_table(24) is view.coset_table(20)
+
+
 def test_coset_monotone_in_beta_and_limit():
     model = WegnerModel(gf2.circulant([1, 1, 0, 1], 7))
     betas = [0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
@@ -430,6 +451,54 @@ def test_correlators_bounded_on_random_draws():
         assert -1 - 1e-12 <= q <= 1 + 1e-12
 
 
+def test_correlators_equal_spin_enum_ratio():
+    # the one-pass correlators against two separate spin sums
+    rng = np.random.default_rng(71)
+    code = codes.toric_code(2)
+    for sector in ("X", "Z"):
+        view = code.sector(sector)
+        tm, sm = WegnerModel(view.tot_matrix), WegnerModel(view.theta)
+        for _ in range(10):
+            e, m = rand_vec(rng, 8), rand_vec(rng, 8)
+            c = view.class_vector(int(rng.integers(1 << view.k)))
+            beta = float(rng.uniform(0.2, 2.0))
+            want = eval_spin_enum(tm, e, beta, m=m).ratio(eval_spin_enum(tm, e, beta))
+            assert correlator_tot(code, sector, e, m, beta) == want
+            ec = e ^ c
+            want = eval_spin_enum(sm, ec, beta, m=m).ratio(eval_spin_enum(sm, ec, beta))
+            assert correlator_c(code, sector, e, c, m, beta) == want
+
+
+def test_sector_models_built_once_per_view(monkeypatch):
+    built = []
+    init = WegnerModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WegnerModel, "__init__", counting_init)
+    rng = np.random.default_rng(79)
+    code = codes.toric_code(2)
+    for _ in range(3):
+        for sector in ("X", "Z"):
+            view = code.sector(sector)
+            e, m = rand_vec(rng, 8), rand_vec(rng, 8)
+            c = view.class_vector(1)
+            z0(code, sector, e, 0.7)
+            zc(code, sector, e, c, 0.7)
+            ztot_dual_route(code, sector, e, 0.7)
+            correlator_tot(code, sector, e, m, 0.7)
+            correlator_c(code, sector, e, c, m, 0.7)
+    # one sector model and one tot model per view
+    assert len(built) == 4
+    shared = {id(get(code, s)) for get in (sector_model, tot_model) for s in ("X", "Z")}
+    assert shared == {id(model) for model in built}
+    for model in built:
+        with pytest.raises(ValueError):
+            model.couplings[0] = 2.0
+
+
 def test_wilson_loop_qualitative_trend():
     # gauge sector of the layered construction on a tiny inner code: at high
     # beta |log Q| tracks the boundary size wgt(s_m); at low beta it tracks
@@ -489,6 +558,39 @@ def test_exact_stats_single_bond():
     st = exact_thermal_stats(model, 0, beta)
     assert st.mean_energy == pytest.approx(-math.tanh(beta), abs=1e-13)
     assert st.bond_sat[0] == pytest.approx(math.tanh(beta), abs=1e-13)
+
+
+def _thermal_reference(model, e, beta):
+    """<H>, <H^2> and <(-1)^e_b R_b> as plain per-configuration sums."""
+    theta = model.theta.to_array().astype(np.int64)
+    e_arr = e.to_array().astype(np.int64)
+    z = h1 = h2 = 0.0
+    sat = np.zeros(model.n_bonds)
+    for conf in range(1 << model.n_spins):
+        x = np.array([(conf >> r) & 1 for r in range(model.n_spins)], dtype=np.int64)
+        s = 1.0 - 2.0 * ((x @ theta + e_arr) % 2)  # (-1)^e_b R_b
+        energy = -float(model.couplings @ s)
+        w = math.exp(-beta * energy)
+        z += w
+        h1 += w * energy
+        h2 += w * energy**2
+        sat += w * s
+    return h1 / z, h2 / z, sat / z
+
+
+def test_exact_stats_match_per_configuration_sum():
+    rng = np.random.default_rng(83)
+    cases = [(WegnerModel(codes.toric_code(2).sector("Z").theta), BinaryVector(0b10110, 8), 0.9)]
+    for _ in range(6):
+        model = rand_model(rng, max_spins=7, max_bonds=10, nonuniform=True)
+        cases.append((model, rand_vec(rng, model.n_bonds), float(rng.uniform(0.2, 1.5))))
+    for model, e, beta in cases:
+        assert e.bits
+        st = exact_thermal_stats(model, e, beta)
+        h1, h2, sat = _thermal_reference(model, e, beta)
+        assert st.mean_energy == pytest.approx(h1, rel=1e-12, abs=1e-12)
+        assert st.mean_energy_sq == pytest.approx(h2, rel=1e-12, abs=1e-12)
+        assert st.bond_sat == pytest.approx(sat, rel=1e-12, abs=1e-12)
 
 
 def test_exact_stats_match_log_z_derivative():
