@@ -273,6 +273,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    if args.sweeps - args.burn_in < 2:
+        raise ValueError(
+            "need at least 2 retained sweeps (sweeps - burn-in) for the specific heat"
+        )
     code = codes.toric_code(args.size)
     view = code.sector(args.sector)
     model = wegner.sector_model(code, args.sector)

@@ -294,6 +294,9 @@ def threshold_scan(
     if beta is None:
         for p in p_grid:  # the whole grid, before any point is decoded
             _matched_beta(float(p))
+    for code in code_family:  # every enumeration budget, before any trial
+        for name in ("X", "Z") if sector == "both" else (sector,):
+            code.sector(name).coset_table(budget_log2)
     curves = [
         [
             estimate_psucc(

@@ -36,6 +36,13 @@ class MetropolisSampler:
     State is the spin vector plus the cached per-bond satisfactions
     (-1)^e_b R_b; a flip touches only the bonds incident to the flipped
     spin.  Strictly sequential; seeded by the supplied generator.
+
+    The constructor builds once a per-spin table of plain tuples: for each
+    spin, its incident bonds in bond order, each as (bond index,
+    K_b = beta J_b).  A sweep reads ``sat`` and ``spins`` into Python lists,
+    runs its attempts on them through the table and writes both lists back
+    into the arrays in place at its end, so between sweeps the arrays are
+    the whole state.
     """
 
     def __init__(self, model: WegnerModel, e, beta: float, rng: np.random.Generator):
@@ -49,7 +56,11 @@ class MetropolisSampler:
         else:
             self.e = BinaryVector(int(e), model.n_bonds)
         theta = model.theta_array()
-        self.bonds_of_spin = [np.flatnonzero(theta[r]) for r in range(model.n_spins)]
+        k = self.beta * model.couplings
+        self._bond_table = [
+            tuple(zip(bonds.tolist(), k[bonds].tolist()))
+            for bonds in map(np.flatnonzero, theta)
+        ]
         self.sign_e = 1 - 2 * self.e.to_array().astype(np.int8)
         self.spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=model.n_spins)
         self._theta = theta
@@ -63,7 +74,8 @@ class MetropolisSampler:
 
     def validate(self) -> None:
         """Cached satisfactions must be recomputable from the spins."""
-        assert np.array_equal(self.sat, self._satisfactions())
+        if not np.array_equal(self.sat, self._satisfactions()):
+            raise AssertionError("cached bond satisfactions do not match the spins")
 
     def energy(self) -> float:
         return -float(self.model.couplings @ self.sat)
@@ -76,17 +88,30 @@ class MetropolisSampler:
         return 1 if (r_vals == -1).sum() % 2 == 0 else -1
 
     def sweep(self) -> None:
-        """n_spins random single-flip Metropolis attempts."""
+        """n_spins random single-flip Metropolis attempts.
+
+        The log-weight change of a flip is -2 sum_b K_b sat_b over the spin's
+        bonds, summed in bond order from 0.0; each term is exactly +-K_b.
+        """
         n = self.model.n_spins
-        sites = self.rng.integers(0, n, size=n)
-        uniforms = self.rng.random(n)
-        k = self.beta * self.model.couplings
+        sites = self.rng.integers(0, n, size=n).tolist()
+        uniforms = self.rng.random(n).tolist()
+        sat = self.sat.tolist()
+        spins = self.spins.tolist()
+        table = self._bond_table
+        exp = math.exp
         for site, u in zip(sites, uniforms):
-            bonds = self.bonds_of_spin[site]
-            delta_logw = -2.0 * float(k[bonds] @ self.sat[bonds])
-            if delta_logw >= 0 or u < math.exp(delta_logw):
-                self.spins[site] = -self.spins[site]
-                self.sat[bonds] = -self.sat[bonds]
+            bonds = table[site]
+            delta_logw = 0.0
+            for b, k in bonds:
+                delta_logw += k * sat[b]
+            delta_logw *= -2.0
+            if delta_logw >= 0 or u < exp(delta_logw):
+                spins[site] = -spins[site]
+                for b, _ in bonds:
+                    sat[b] = -sat[b]
+        self.sat[:] = sat
+        self.spins[:] = spins
 
     def run(self, sweeps: int, observable=None, trace=None) -> np.ndarray:
         """One sample of energy (and optional observable) per sweep."""

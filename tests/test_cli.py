@@ -119,6 +119,7 @@ _BAD_ARGS = {
     "p-zero": "mc run --p 0",
     "unknown-sector": "mc run --sector Q",
     "burn-in-past-sweeps": "mc run --sweeps 5 --burn-in 200",
+    "one-retained-sweep": "mc run --size 2 --sweeps 201 --burn-in 200 --seed 1",
     "grid-with-p-zero": "decode sweep --p-grid 0:0.1:0.05",
     "zero-trials": "decode sweep --trials 0",
     "one-size": "decode sweep --sizes 2",

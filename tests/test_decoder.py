@@ -18,7 +18,7 @@ from spinqec.decoder import (
     sample_error,
     threshold_scan,
 )
-from spinqec.gf2 import BinaryMatrix, BinaryVector, RowReducer
+from spinqec.gf2 import BinaryMatrix, BinaryVector, BudgetExceededError, RowReducer
 
 
 # -- error model / Nishimori temperature ---------------------------------------
@@ -289,6 +289,23 @@ def test_threshold_scan_checks_the_grid_before_decoding(monkeypatch):
     monkeypatch.setattr(decoder, "_decode_sectors", no_decoding)
     with pytest.raises(ValueError, match="infinite at p = 0"):
         threshold_scan([toric_code(2), toric_code(3)], [0.1, 0.0], trials=5)
+
+
+@pytest.mark.parametrize(
+    "family, sector, budget",
+    [
+        ([toric_code(2), toric_code(5)], "both", 24),  # L = 5 needs 2^26
+        ([toric_code(2), toric_code(3)], "Z", 8),  # L = 3 needs 2^10
+        ([toric_code(3), toric_code(2)], "both", 8),  # the first code is over
+    ],
+    ids=["last-code", "one-sector", "first-code"],
+)
+def test_threshold_scan_checks_budgets_before_decoding(monkeypatch, family, sector, budget):
+    calls = []
+    monkeypatch.setattr(decoder, "estimate_psucc", lambda *a, **kw: calls.append(a))
+    with pytest.raises(BudgetExceededError, match="budget 2\\^%d" % budget):
+        threshold_scan(family, [0.1], trials=5, sector=sector, budget_log2=budget)
+    assert calls == []
 
 
 def test_threshold_scan_smoke_and_deterministic():

@@ -1,6 +1,10 @@
 """Metropolis sampler vs exact enumeration; disorder-averaged identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,3 +213,125 @@ def test_tempered_chains_smoke():
     # colder replicas sit at lower energy on average
     means = energies[50:].mean(axis=0)
     assert means[2] < means[0]
+
+
+# -- the scalar sweep against the per-attempt numpy sweep it replaced ------------
+
+
+def _reference_sweep(s):
+    """One sweep as the sampler made it before its per-spin bond table."""
+    n = s.model.n_spins
+    sites = s.rng.integers(0, n, size=n)
+    uniforms = s.rng.random(n)
+    k = s.beta * s.model.couplings
+    theta = s.model.theta_array()
+    for site, u in zip(sites, uniforms):
+        bonds = np.flatnonzero(theta[site])
+        delta_logw = -2.0 * float(k[bonds] @ s.sat[bonds])
+        if delta_logw >= 0 or u < math.exp(delta_logw):
+            s.spins[site] = -s.spins[site]
+            s.sat[bonds] = -s.sat[bonds]
+
+
+def _random_couplings_model(code, sector, seed):
+    theta = code.sector(sector).theta
+    return WegnerModel(theta, np.random.default_rng(seed).uniform(0.3, 1.7, theta.cols))
+
+
+_SWEEP_CASES = {
+    "toric3-Z-uniform": (
+        lambda: WegnerModel(codes.toric_code(3).sector("Z").theta),
+        decoder.nishimori_beta(0.08),
+    ),
+    "dt36-Z-random": (lambda: _random_couplings_model(codes.debierre_turban_code(3, 6), "Z", 1), 0.9),
+    "toric4-X-random": (lambda: _random_couplings_model(codes.toric_code(4), "X", 2), 0.7),
+    "one-spin": (lambda: WegnerModel(BinaryMatrix([1], 1)), 0.8),
+    "two-spin": (lambda: WegnerModel(BinaryMatrix([1, 1], 1)), 0.6),
+}
+
+
+@pytest.mark.parametrize("case", list(_SWEEP_CASES), ids=list(_SWEEP_CASES))
+def test_sweep_equals_reference_sweep(case):
+    make, beta = _SWEEP_CASES[case]
+    model = make()
+    draws = np.random.default_rng(20)
+    for chain in range(3):
+        e = decoder.sample_bits(0.15, model.n_bonds, draws)
+        new = mc.MetropolisSampler(model, e, beta, np.random.default_rng([chain, 5]))
+        ref = mc.MetropolisSampler(model, e, beta, np.random.default_rng([chain, 5]))
+        for _ in range(150):
+            new.sweep()
+            _reference_sweep(ref)
+            assert np.array_equal(new.spins, ref.spins)
+            assert np.array_equal(new.sat, ref.sat)
+            assert new.energy() == ref.energy()
+        new.validate()
+
+
+def _reference_ladder(model, e, betas, sweeps, rng):
+    replicas = [mc.MetropolisSampler(model, e, b, rng) for b in betas]
+    energies = np.empty((sweeps, len(replicas)))
+    for i in range(sweeps):
+        for rep in replicas:
+            _reference_sweep(rep)
+        for j in range(len(replicas) - 1):
+            a, b = replicas[j], replicas[j + 1]
+            delta = (a.beta - b.beta) * (a.energy() - b.energy())
+            if delta >= 0 or rng.random() < math.exp(delta):
+                a.spins, b.spins = b.spins, a.spins
+                a.sat, b.sat = b.sat, a.sat
+        energies[i] = [rep.energy() for rep in replicas]
+    return energies
+
+
+def test_tempered_chains_equal_reference_ladder(monkeypatch):
+    model = _random_couplings_model(codes.toric_code(3), "Z", 3)
+    betas = [0.3, 0.5, 0.7, 0.9]
+    want = _reference_ladder(model, 21, betas, 200, np.random.default_rng(4))
+
+    made = []
+
+    class Recording(mc.MetropolisSampler):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.first_sat = self.sat
+            made.append(self)
+
+    monkeypatch.setattr(mc, "MetropolisSampler", Recording)
+    got = mc.tempered_chains(model, 21, betas, 200, np.random.default_rng(4))
+    assert np.array_equal(got, want)
+    assert any(rep.sat is not rep.first_sat for rep in made)  # replicas swapped
+    for rep in made:
+        rep.validate()
+        rep.sweep()
+        rep.validate()
+
+
+def test_validate_raises_on_corrupted_satisfactions():
+    model = WegnerModel(codes.toric_code(2).sector("Z").theta)
+    sampler = mc.MetropolisSampler(model, 3, 0.8, np.random.default_rng(0))
+    sampler.sweep()
+    sampler.validate()
+    sampler.sat[2] = -sampler.sat[2]
+    with pytest.raises(AssertionError, match="satisfactions"):
+        sampler.validate()
+
+
+def test_validate_checks_under_optimize_flag():
+    script = (
+        "import numpy as np\n"
+        "from spinqec import codes, montecarlo as mc\n"
+        "from spinqec.wegner import WegnerModel\n"
+        "m = WegnerModel(codes.toric_code(2).sector('Z').theta)\n"
+        "s = mc.MetropolisSampler(m, 0, 0.8, np.random.default_rng(0))\n"
+        "s.sat[0] = -s.sat[0]\n"
+        "try:\n"
+        "    s.validate()\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert res.returncode == 0
