@@ -153,6 +153,8 @@ class SectorView:
         self.n_gauge = theta.rows - self.rank_theta
         self._syn_map = SolveMap(syn_matrix)
         self._table = None
+        # the decoder's decision tables, one per (beta, budget); see decoder
+        self._decisions: dict = {}
         self._reps: dict = {}
         # (key, values) of the last class_log_values call; see wegner
         self._last_values = None
@@ -196,6 +198,33 @@ class SectorView:
     @property
     def n_syndromes(self) -> int:
         return 1 << self._syn_map.rank
+
+    def trellis_index(self, bits: int) -> tuple[int, int]:
+        """(syndrome index, label bits) of an error: its place in ``class_trellis``.
+
+        The syndrome index numbers the reachable syndromes (``SolveMap.index``);
+        the label bits are the parities of the label rows, which ``class_label``
+        reads on zero-syndrome vectors.  Both are linear, so class c of an
+        error e sits at label bits c ^ (label bits of e).
+        """
+        s = parities(self.syn_matrix.row_bits, bits)
+        return self._syn_map.index(s), parities(self._label_rows, bits)
+
+    def class_trellis(self, max_bytes: Optional[int] = None) -> np.ndarray:
+        """hist[i, l, w]: the errors of weight w at (syndrome index i, label bits l).
+
+        For any error e with ``trellis_index`` (i, l), hist[i][c ^ l] is the
+        class-c row of ``coset_table().class_histograms(e.bits)``, as exact
+        integers, for every class of every reachable syndrome at once.  Built
+        on each call by ``gf2.trellis_histograms``, which checks ``max_bytes``
+        before it allocates; nothing is kept on the view.
+        """
+        steps = []
+        for j in range(self.n_bonds):
+            i, l = self.trellis_index(1 << j)
+            steps.append((i << self.k) | l)
+        hist = gf2.trellis_histograms(steps, self._syn_map.rank + self.k, max_bytes)
+        return hist.reshape(self.n_syndromes, 1 << self.k, self.n_bonds + 1)
 
     # -- class labels ------------------------------------------------------------
 

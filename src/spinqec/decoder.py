@@ -1,10 +1,16 @@
 """Error-model sampling and exact maximum-likelihood decoding.
 
 ML decoding evaluates every logical class partition function Z_c at the
-requested temperature (one coset-table scan per sector) and picks the
-dominant class.  The conditional success probability Z_max / Z_tot and
-per-class log values are returned alongside the decision, so threshold
-scans and the probability-ratio diagnostics share one code path.
+requested temperature and picks the dominant class.  The conditional
+success probability Z_max / Z_tot and per-class log values are returned
+alongside the decision, so threshold scans and the probability-ratio
+diagnostics share one code path.
+
+A sector whose syndrome trellis fits ``TABLE_BYTES`` decodes by lookup: on
+its first syndrome at a (beta, budget) it decides every reachable syndrome
+from the trellis's integer histograms, with the same log-value, tie-break
+and logsumexp functions, so each decision is the one enumeration gives.
+Larger sectors enumerate one coset table scan per syndrome.
 
 Trials are reproducible: each (code, p, trial) triple derives its own
 generator from the master seed by spawn keys, so results do not depend on
@@ -19,8 +25,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BinaryVector
-from .wegner import class_log_values, dominant_class, log_sum_exp
+from .gf2 import BinaryVector, BudgetExceededError
+from .wegner import _log_z_from_hists, class_log_values, dominant_class, log_sum_exp
+
+#: byte budget of the syndrome trellis behind a sector's decision tables
+TABLE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -69,10 +78,8 @@ def _matched_beta(p: float) -> float:
 
 def sample_bits(p: float, nbits: int, rng: np.random.Generator) -> BinaryVector:
     """nbits independent Bernoulli(p) bits as a packed vector."""
-    bits = 0
-    for j in np.flatnonzero(rng.random(nbits) < p):
-        bits |= 1 << int(j)
-    return BinaryVector(bits, nbits)
+    mask = np.packbits(rng.random(nbits) < p, bitorder="little")
+    return BinaryVector(int.from_bytes(mask.tobytes(), "little"), nbits)
 
 
 def sample_error(model: ErrorModel, n: int, rng: np.random.Generator) -> BinaryVector:
@@ -102,21 +109,65 @@ def ml_decode(code, sector, s: BinaryVector, beta: float, budget_log2: int = 24)
     """Decode a syndrome: argmax-class of Z_c(e_s; beta) over all classes.
 
     Exact log-value ties are broken by the lexicographically smallest
-    minimum-weight class representative and reported in ``ties``.
+    minimum-weight class representative and reported in ``ties``.  A sector
+    with a decision table at (beta, budget_log2) looks the syndrome up;
+    otherwise its classes are enumerated.
     """
     view = code.sector(sector)
-    e_s = view.solve_syndrome(s)
-    vals = class_log_values(code, sector, e_s, beta, budget_log2)
+    table = _decision_table(view, beta, budget_log2)
+    entry = None
+    if table is not None and s.n == view.syn_matrix.rows:
+        entry = table.get(s.bits)
+    if entry is None:  # no table, or a syndrome no table holds: solving it raises
+        e_s = view.solve_syndrome(s)
+        vals = class_log_values(code, sector, e_s, beta, budget_log2)
+        entry = (e_s, vals) + _decide(view, vals, budget_log2)
+    e_s, vals, label, ties, log_z_max, log_z_tot = entry
+    return DecodeOutcome(s, label, vals, log_z_max, log_z_tot, ties, e_s=e_s)
+
+
+def _decide(view, vals: np.ndarray, budget_log2: int) -> tuple:
+    """(label, ties, log_z_max, log_z_tot) of one syndrome's class log values."""
     label, ties = dominant_class(view, vals, budget_log2)
-    return DecodeOutcome(
-        syndrome=s,
-        label=label,
-        log_z=vals,
-        log_z_max=float(vals[label]),
-        log_z_tot=log_sum_exp(vals),
-        ties=ties,
-        e_s=e_s,
-    )
+    return label, ties, float(vals[label]), log_sum_exp(vals)
+
+
+def _decision_table(view, beta: float, budget_log2: int) -> Optional[dict]:
+    """Syndrome bits -> (e_s, log_z, label, ties, log_z_max, log_z_tot), or None.
+
+    Built on the view's first decode at (beta, budget_log2) and kept there.
+    None, also kept, when the enumeration budget would raise (the
+    per-syndrome path raises it) or the trellis exceeds ``TABLE_BYTES``.
+    The class histograms of every syndrome come from the view's class
+    trellis, cast to int64 as ``class_histograms`` gives them (the log of a
+    narrower count is float32); the log values are read-only rows of one
+    array.
+    """
+    key = (float(beta), budget_log2)
+    if key in view._decisions:
+        return view._decisions[key]
+    hist = None
+    if view.rank_theta + view.k <= budget_log2:
+        try:
+            hist = view.class_trellis(TABLE_BYTES)
+        except BudgetExceededError:
+            pass
+    table = None
+    if hist is not None:
+        labels = np.arange(1 << view.k)
+        solved = [(s, view.solve_syndrome(s)) for s in view.all_syndromes()]
+        rows, offsets = zip(*(view.trellis_index(e_s.bits) for _, e_s in solved))
+        hists = hist[np.array(rows)[:, None], labels ^ np.array(offsets)[:, None]]
+        vals = _log_z_from_hists(
+            hists.reshape(-1, hist.shape[2]).astype(np.int64), view.n_bonds, beta
+        ).reshape(len(solved), labels.size)
+        vals.flags.writeable = False
+        table = {
+            s.bits: (e_s, row) + _decide(view, row, budget_log2)
+            for (s, e_s), row in zip(solved, vals)
+        }
+    view._decisions[key] = table
+    return table
 
 
 def decode_error(code, sector, e: BinaryVector, beta: float, budget_log2: int = 24) -> DecodeOutcome:

@@ -391,6 +391,14 @@ class SolveMap:
         self._solve_rows = transforms[: self.rank]
         self._check_rows = transforms[self.rank :]
 
+    def index(self, bits: int) -> int:
+        """Compact index of a reachable s: the solution's pivot bits, packed.
+
+        Linear in s and injective on the image of m, so it numbers the
+        reachable right-hand sides 0 .. 2^rank - 1.
+        """
+        return parities(self._solve_rows, bits)
+
     def solve(self, s: BinaryVector) -> Optional[BinaryVector]:
         """The particular solution for s, or None when s is not reachable."""
         if s.n != self.rows:
@@ -558,6 +566,44 @@ class CosetTable:
             return np.bincount(w, minlength=stride)[np.newaxis]
         hist = np.bincount(self._class_key + w, minlength=self.n_classes * stride)
         return hist.reshape(self.n_classes, stride)
+
+
+def trellis_histograms(
+    steps: Sequence[int], state_bits: int, max_bytes: Optional[int] = None
+) -> np.ndarray:
+    """Exact weight histograms of every state of a linear map, by a trellis.
+
+    A vector x of n = len(steps) bits has the state XOR of steps[j] over its
+    set bits j.  Returns hist of shape (2^state_bits, n + 1) with hist[t, w]
+    the number of weight-w vectors in state t.  Bond j moves every count
+    from (t, w) to (t ^ steps[j], w + 1), one pass over the table per bond
+    (the syndrome trellis of Wolf 1978 and BCJR 1974, counted in integers).
+
+    No count, of any prefix of the bonds, exceeds 2^d with d = n minus the
+    rank of the steps, so the table has the smallest unsigned type holding
+    2^d.  Peak memory is the table, one gathered copy of it and two index
+    arrays; with ``max_bytes`` that sum is checked before any allocation.
+    """
+    n = len(steps)
+    kernel_dim = n - rank(BinaryMatrix(steps, state_bits))
+    dtype = np.min_scalar_type(1 << kernel_dim)
+    if dtype.kind != "u":
+        raise ValueError(f"trellis counts up to 2^{kernel_dim} do not fit in 64 bits")
+    n_states = 1 << state_bits
+    peak = 2 * n_states * ((n + 1) * dtype.itemsize + np.dtype(np.intp).itemsize)
+    if max_bytes is not None and peak > max_bytes:
+        raise BudgetExceededError(
+            f"syndrome trellis needs {peak} bytes (budget {max_bytes} bytes)"
+        )
+    hist = np.zeros((n_states, n + 1), dtype=dtype)
+    hist[0, 0] = 1
+    states = np.arange(n_states, dtype=np.intp)
+    source = np.empty_like(states)
+    for j, step in enumerate(steps):
+        # before bond j no vector is heavier than j
+        np.bitwise_xor(states, step, out=source)
+        hist[:, 1 : j + 2] += hist[source, : j + 1]
+    return hist
 
 
 class BudgetExceededError(RuntimeError):

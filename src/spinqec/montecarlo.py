@@ -148,10 +148,12 @@ def autocorr_time(samples: np.ndarray) -> float:
 def blocked_estimate(samples: np.ndarray, n_blocks: int = 16) -> tuple[float, float]:
     """Mean and standard error from block averages (>= 16 blocks)."""
     x = np.asarray(samples, dtype=np.float64)
+    if len(x) < 2:
+        raise ValueError(f"a standard error needs at least 2 samples, got {len(x)}")
     n_blocks = max(n_blocks, 16)
     usable = (len(x) // n_blocks) * n_blocks
-    if usable < n_blocks:
-        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(max(len(x) - 1, 1)))
+    if usable < n_blocks:  # too few for blocks: the plain s / sqrt(n)
+        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(len(x)))
     blocks = x[:usable].reshape(n_blocks, -1).mean(axis=1)
     return float(x[:usable].mean()), float(blocks.std(ddof=1) / math.sqrt(n_blocks))
 
@@ -189,7 +191,16 @@ def estimate_energy_and_cv(
     rng: np.random.Generator,
     burn_in: Optional[int] = None,
 ) -> tuple[McEstimate, McEstimate]:
-    """Internal energy <E> and specific heat beta^2 var(E), blocked errors."""
+    """Internal energy <E> and specific heat beta^2 var(E), blocked errors.
+
+    The specific-heat error takes the variance within each of 16 blocks, so
+    ``sweeps`` (the retained sweeps) must be at least 32.
+    """
+    if sweeps < 32:
+        raise ValueError(
+            f"estimate_energy_and_cv needs at least 32 retained sweeps "
+            f"(16 blocks of 2), got {sweeps}"
+        )
     if burn_in is None:
         burn_in = _default_burn_in(model, e, beta, rng)
         burn_in = min(burn_in, sweeps // 4)

@@ -124,10 +124,14 @@ def test_c05_clean_self_dual_identity():
     assert ok
 
 
-def _bound_scan(code, sector, ps, budget_log2=20):
-    """Exhaustive syndrome/class scan; returns the worst bound violation."""
+def _bound_scan(code, sector, ps, budget_log2=20, max_bytes=1 << 29):
+    """Exhaustive syndrome/class scan; returns the worst bound violation.
+
+    The class histograms of each syndrome are read from one syndrome-trellis
+    table of the sector (exact integers, equal to the coset-table scan).
+    """
     view = code.sector(sector)
-    table = view.coset_table(budget_log2)
+    trellis = view.class_trellis(max_bytes)
     labels = np.arange(1 << view.k)
     d_arr = np.zeros(1 << view.k)
     for lab in range(1, 1 << view.k):
@@ -149,7 +153,8 @@ def _bound_scan(code, sector, ps, budget_log2=20):
         if g:
             flip = (g ^ (g >> 1)) ^ ((g - 1) ^ ((g - 1) >> 1))
             e_bits ^= e_basis[flip.bit_length() - 1]
-        hists = table.class_histograms(e_bits)
+        row, offset = view.trellis_index(e_bits)
+        hists = trellis[row][labels ^ offset].astype(np.int64)
         for beta in betas:
             vals = _log_z_from_hists(hists, view.n_bonds, beta)
             lmax = int(vals.argmax())

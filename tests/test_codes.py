@@ -356,3 +356,62 @@ def test_save_load_generic(tmp_path):
     save_code(code, path)
     back = load_code(path)
     assert back.generator == code.generator and not back.is_css
+
+
+# -- syndrome trellis -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: toric_code(2), lambda: toric_code(3), lambda: debierre_turban_code(3, 3)],
+    ids=["toric2", "toric3", "dt33"],
+)
+@pytest.mark.parametrize("sector", ["X", "Z"])
+def test_class_trellis_equals_class_histograms(make, sector):
+    view = make().sector(sector)
+    hist = view.class_trellis()
+    table = view.coset_table()
+    labels = np.arange(1 << view.k)
+    seen = set()
+    for s in view.all_syndromes():
+        e_s = view.solve_syndrome(s)
+        i, offset = view.trellis_index(e_s.bits)
+        seen.add(i)
+        # any other error of the syndrome lands on the same row, shifted by its label
+        e2 = e_s ^ view.class_vector(1) if view.k else e_s
+        assert view.trellis_index(e2.bits)[0] == i
+        assert np.array_equal(hist[i][labels ^ offset], table.class_histograms(e_s.bits))
+    assert seen == set(range(view.n_syndromes))
+
+
+def test_class_trellis_equals_brute_force_count_toric2():
+    # every error counted under its syndrome and its class relative to the
+    # solved representative, by solve_syndrome and class_label alone
+    for sector in ("X", "Z"):
+        view = toric_code(2).sector(sector)
+        n = view.n_bonds
+        ref = {}
+        for bits in range(1 << n):
+            e = BinaryVector(bits, n)
+            e_s = view.solve_syndrome(view.syndrome(e))
+            counts = ref.setdefault(e_s.bits, np.zeros((1 << view.k, n + 1), dtype=np.int64))
+            counts[view.class_label(e ^ e_s), e.weight()] += 1
+        hist = view.class_trellis()
+        labels = np.arange(1 << view.k)
+        assert len(ref) == view.n_syndromes
+        for e_bits, counts in ref.items():
+            i, offset = view.trellis_index(e_bits)
+            assert np.array_equal(hist[i][labels ^ offset], counts)
+
+
+def test_class_trellis_budget_raises_before_allocation():
+    import tracemalloc
+
+    view = toric_code(4).sector("Z")  # 2^17 states x 33 weights, uint16
+    tracemalloc.start()
+    try:
+        with pytest.raises(gf2.BudgetExceededError):
+            view.class_trellis(max_bytes=1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinqec import decoder
-from spinqec.codes import StabilizerCode, toric_code
+from spinqec.codes import StabilizerCode, debierre_turban_code, toric_code
 from spinqec.decoder import (
     ErrorModel,
     decode_error,
@@ -88,6 +88,24 @@ def test_sample_error_seeded_reproducible():
     a = sample_bits(0.25, 40, np.random.default_rng(7))
     b = sample_bits(0.25, 40, np.random.default_rng(7))
     assert a == b
+
+
+def _sample_bits_loop(p, nbits, rng):
+    """The bit-by-bit packing sample_bits replaced: one draw, set bits ORed in."""
+    bits = 0
+    for j in np.flatnonzero(rng.random(nbits) < p):
+        bits |= 1 << int(j)
+    return BinaryVector(bits, nbits)
+
+
+def test_sample_bits_equals_bitwise_loop():
+    for seed in range(40):
+        for nbits in (0, 1, 7, 8, 9, 63, 64, 65, 100, 130):
+            for p in (0.0, 0.11, 0.5, 1.0):
+                a = sample_bits(p, nbits, np.random.default_rng(seed))
+                b = _sample_bits_loop(p, nbits, np.random.default_rng(seed))
+                assert a == b
+    assert sample_bits(1.0, 130, np.random.default_rng(0)).bits == (1 << 130) - 1
 
 
 # -- ml_decode ------------------------------------------------------------------
@@ -349,3 +367,73 @@ def test_bad_fraction_decays_with_size():
                 bad += 1
         fracs.append(bad / trials)
     assert fracs[0] > fracs[1] > fracs[2]
+
+
+# -- decision tables --------------------------------------------------------------
+
+_TABLE_CODES = {
+    "toric2": lambda: toric_code(2),
+    "toric3": lambda: toric_code(3),
+    "dt33": lambda: debierre_turban_code(3, 3),
+}
+
+
+def _outcome_fields(out):
+    return (out.syndrome, out.label, out.ties, out.log_z.tobytes(), out.log_z_max,
+            out.log_z_tot, out.e_s)
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CODES))
+def test_decision_table_equals_enumeration(name, monkeypatch):
+    # every syndrome of both sectors at three temperatures, field by field
+    tabled, enumerated = _TABLE_CODES[name](), _TABLE_CODES[name]()
+    for sector in ("X", "Z"):
+        for beta in (0.3, nishimori_beta(0.11), 1.7):
+            for s in tabled.sector(sector).all_syndromes():
+                monkeypatch.setattr(decoder, "TABLE_BYTES", 1 << 20)
+                a = ml_decode(tabled, sector, s, beta)
+                monkeypatch.setattr(decoder, "TABLE_BYTES", 0)
+                b = ml_decode(enumerated, sector, s, beta)
+                assert _outcome_fields(a) == _outcome_fields(b)
+                assert not a.log_z.flags.writeable
+            key = (float(beta), 24)
+            assert tabled.sector(sector)._decisions[key] is not None
+            assert enumerated.sector(sector)._decisions[key] is None
+
+
+def test_decision_table_decodes_without_enumeration(monkeypatch):
+    code = toric_code(3)
+    beta = nishimori_beta(0.08)
+    ml_decode(code, "Z", BinaryVector(0, 9), beta)  # builds the table
+    calls = []
+    real = decoder.class_log_values
+    monkeypatch.setattr(decoder, "class_log_values", lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        out = decode_error(code, "Z", sample_bits(0.08, 18, rng), beta)
+        assert out.success in (True, False)
+    assert calls == []
+    # toric L = 4 is over the byte budget and enumerates every syndrome
+    big = toric_code(4)
+    decode_error(big, "Z", sample_bits(0.08, 32, rng), beta)
+    assert len(calls) == 1 and big.sector("Z")._decisions[(float(beta), 24)] is None
+
+
+def test_decision_table_rejects_bad_syndromes():
+    code = toric_code(2)
+    view = code.sector("Z")
+    ml_decode(code, "Z", BinaryVector(0, 4), 1.0)
+    assert view._decisions[(1.0, 24)] is not None
+    reachable = {s.bits for s in view.all_syndromes()}
+    bad = next(b for b in range(16) if b not in reachable)
+    with pytest.raises(ValueError, match="image"):
+        ml_decode(code, "Z", BinaryVector(bad, 4), 1.0)
+    for n in (3, 5, 8):  # reachable bit patterns at a wrong length
+        with pytest.raises(ValueError, match="length"):
+            ml_decode(code, "Z", BinaryVector(0b11, n), 1.0)
+    # the enumeration budget still applies, before and after a table exists
+    need = view.rank_theta + view.k
+    for beta in (1.0, 0.7):
+        with pytest.raises(BudgetExceededError):
+            ml_decode(code, "Z", BinaryVector(0, 4), beta, budget_log2=need - 1)
+    assert ml_decode(code, "Z", BinaryVector(0, 4), 0.7, budget_log2=need).label == 0

@@ -330,6 +330,56 @@ def test_coset_table_budget():
         CosetTable([1] * 10, 4, max_log2=8)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_trellis_histograms_match_brute_force(seed):
+    # every vector's state and weight counted one by one; includes zero and
+    # repeated steps and kernels past the uint8 range
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 13))
+    state_bits = int(rng.integers(0, 6))
+    steps = [int(x) for x in rng.integers(0, 1 << state_bits, n)]
+    ref = np.zeros((1 << state_bits, n + 1), dtype=np.int64)
+    for x in range(1 << n):
+        t = 0
+        for j in range(n):
+            if (x >> j) & 1:
+                t ^= steps[j]
+        ref[t, x.bit_count()] += 1
+    hist = gf2.trellis_histograms(steps, state_bits)
+    assert np.array_equal(hist.astype(np.int64), ref)
+    kernel_dim = n - gf2.rank(BinaryMatrix(steps, state_bits))
+    assert hist.dtype == np.min_scalar_type(1 << kernel_dim)
+
+
+def test_trellis_histograms_uint16_counts():
+    # 10 zero steps: all 2^10 vectors sit in state 0, C(10, 5) = 252 and the
+    # total 1024 needs uint16
+    hist = gf2.trellis_histograms([0] * 10, 1)
+    assert hist.dtype == np.uint16
+    assert hist[0, 5] == 252 and hist.sum() == 1024 and hist[1].sum() == 0
+    with pytest.raises(ValueError, match="64 bits"):  # 2^64 has no unsigned type
+        gf2.trellis_histograms([0] * 64, 0)
+
+
+def test_trellis_histograms_budget_checked_before_allocation():
+    import tracemalloc
+
+    steps = [1 << (j % 20) for j in range(40)]  # 2^20 states, 41 weights
+    tracemalloc.start()
+    try:
+        with pytest.raises(gf2.BudgetExceededError, match="bytes"):
+            gf2.trellis_histograms(steps, 20, max_bytes=1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # the bound counts the table, its gathered copy and two index arrays
+    exact = 2 * 4 * 4 + 2 * 4 * np.dtype(np.intp).itemsize
+    assert gf2.trellis_histograms([1, 2, 3], 2, max_bytes=exact).shape == (4, 4)
+    with pytest.raises(gf2.BudgetExceededError):
+        gf2.trellis_histograms([1, 2, 3], 2, max_bytes=exact - 1)
+
+
 # -- coset minimum weight -----------------------------------------------------
 
 

@@ -64,6 +64,38 @@ def test_energy_and_cv_match_exact_toric3():
     assert u.stderr > 0 and cv.stderr > 0
 
 
+def test_blocked_estimate_few_samples_uses_s_over_sqrt_n():
+    mean, err = mc.blocked_estimate([0.0, 1.0, 2.0, 3.0])
+    assert mean == 1.5
+    assert err == pytest.approx(np.std([0, 1, 2, 3], ddof=1) / 2, abs=1e-15)
+    assert round(err, 4) == 0.6455
+    for few in ([], [1.0]):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            mc.blocked_estimate(few)
+
+
+@pytest.mark.parametrize("sweeps", [10, 31])
+def test_energy_and_cv_rejects_too_few_sweeps_before_the_chain(sweeps):
+    model = WegnerModel(codes.toric_code(2).sector("Z").theta)
+    rng = np.random.default_rng(4)
+    with pytest.raises(ValueError, match="at least 32 retained sweeps"):
+        mc.estimate_energy_and_cv(model, 0, 0.8, sweeps, rng, burn_in=0)
+    assert rng.random() == np.random.default_rng(4).random()  # nothing drawn
+
+
+def test_energy_and_cv_at_the_minimum_sweeps_is_finite():
+    import warnings
+
+    model = WegnerModel(codes.toric_code(2).sector("Z").theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, cv = mc.estimate_energy_and_cv(
+            model, 0, 0.8, 32, np.random.default_rng(4), burn_in=0
+        )
+    assert u.sweeps == cv.sweeps == 32
+    assert all(math.isfinite(x) for x in (u.mean, u.stderr, cv.mean, cv.stderr))
+
+
 def test_mc_matches_exact_on_random_draws():
     rng = np.random.default_rng(11)
     for draw in range(20):
