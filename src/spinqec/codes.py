@@ -153,7 +153,7 @@ class SectorView:
         self.n_gauge = theta.rows - self.rank_theta
         self._syn_map = SolveMap(syn_matrix)
         self._table = None
-        # the decoder's decision tables, one per (beta, budget); see decoder
+        # the decoder's kept decisions, one dict per beta; see decoder
         self._decisions: dict = {}
         self._reps: dict = {}
         # (key, values) of the last class_log_values call; see wegner

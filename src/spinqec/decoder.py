@@ -6,11 +6,11 @@ success probability Z_max / Z_tot and per-class log values are returned
 alongside the decision, so threshold scans and the probability-ratio
 diagnostics share one code path.
 
-A sector whose syndrome trellis fits ``TABLE_BYTES`` decodes by lookup: on
-its first syndrome at a (beta, budget) it decides every reachable syndrome
-from the trellis's integer histograms, with the same log-value, tie-break
-and logsumexp functions, so each decision is the one enumeration gives.
-Larger sectors enumerate one coset table scan per syndrome.
+A sector with at most ``MEMO_SYNDROMES`` reachable syndromes keeps each
+decision it makes, per temperature, for its ``MEMO_BETAS`` most recently
+used temperatures: a syndrome seen before at the same beta is looked up,
+a new one is enumerated once.  Larger sectors enumerate one coset table
+scan per syndrome.
 
 Trials are reproducible: each (code, p, trial) triple derives its own
 generator from the master seed by spawn keys, so results do not depend on
@@ -25,11 +25,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gf2 import BinaryVector, BudgetExceededError
-from .wegner import _log_z_from_hists, class_log_values, dominant_class, log_sum_exp
+from .gf2 import BinaryVector
+from .wegner import class_log_values, dominant_class, log_sum_exp
 
-#: byte budget of the syndrome trellis behind a sector's decision tables
-TABLE_BYTES = 1 << 20
+#: sectors with at most this many reachable syndromes keep their decisions
+MEMO_SYNDROMES = 1 << 10
+#: temperatures a sector keeps decisions for, the least recently used dropped
+MEMO_BETAS = 16
 
 
 @dataclass(frozen=True)
@@ -109,65 +111,48 @@ def ml_decode(code, sector, s: BinaryVector, beta: float, budget_log2: int = 24)
     """Decode a syndrome: argmax-class of Z_c(e_s; beta) over all classes.
 
     Exact log-value ties are broken by the lexicographically smallest
-    minimum-weight class representative and reported in ``ties``.  A sector
-    with a decision table at (beta, budget_log2) looks the syndrome up;
-    otherwise its classes are enumerated.
+    minimum-weight class representative and reported in ``ties``.  A
+    decision the sector keeps (see ``_decisions``) is returned without a
+    new enumeration.
     """
     view = code.sector(sector)
-    table = _decision_table(view, beta, budget_log2)
+    memo = _decisions(view, beta, budget_log2)
     entry = None
-    if table is not None and s.n == view.syn_matrix.rows:
-        entry = table.get(s.bits)
-    if entry is None:  # no table, or a syndrome no table holds: solving it raises
+    if memo is not None and s.n == view.syn_matrix.rows:
+        entry = memo.get(s.bits)
+    if entry is None:  # not kept: solving raises on a bad syndrome
         e_s = view.solve_syndrome(s)
         vals = class_log_values(code, sector, e_s, beta, budget_log2)
-        entry = (e_s, vals) + _decide(view, vals, budget_log2)
+        label, ties = dominant_class(view, vals, budget_log2)
+        entry = (e_s, vals, label, ties, float(vals[label]), log_sum_exp(vals))
+        if memo is not None:
+            memo[s.bits] = entry
     e_s, vals, label, ties, log_z_max, log_z_tot = entry
     return DecodeOutcome(s, label, vals, log_z_max, log_z_tot, ties, e_s=e_s)
 
 
-def _decide(view, vals: np.ndarray, budget_log2: int) -> tuple:
-    """(label, ties, log_z_max, log_z_tot) of one syndrome's class log values."""
-    label, ties = dominant_class(view, vals, budget_log2)
-    return label, ties, float(vals[label]), log_sum_exp(vals)
+def _decisions(view, beta: float, budget_log2: int) -> Optional[dict]:
+    """The view's decisions at beta, syndrome bits -> (e_s, log_z, label,
+    ties, log_z_max, log_z_tot), or None when the view keeps none.
 
-
-def _decision_table(view, beta: float, budget_log2: int) -> Optional[dict]:
-    """Syndrome bits -> (e_s, log_z, label, ties, log_z_max, log_z_tot), or None.
-
-    Built on the view's first decode at (beta, budget_log2) and kept there.
-    None, also kept, when the enumeration budget would raise (the
-    per-syndrome path raises it) or the trellis exceeds ``TABLE_BYTES``.
-    The class histograms of every syndrome come from the view's class
-    trellis, cast to int64 as ``class_histograms`` gives them (the log of a
-    narrower count is float32); the log values are read-only rows of one
-    array.
+    Only a view with at most ``MEMO_SYNDROMES`` reachable syndromes keeps
+    decisions, and only while the enumeration budget admits its coset table
+    (below it the enumeration raises, as it must).  Every admitted budget
+    gives the same decisions, so they are keyed on beta alone; the view
+    holds ``MEMO_BETAS`` temperatures and drops the least recently used.
+    The log values are the read-only arrays of ``class_log_values``.
     """
-    key = (float(beta), budget_log2)
-    if key in view._decisions:
-        return view._decisions[key]
-    hist = None
-    if view.rank_theta + view.k <= budget_log2:
-        try:
-            hist = view.class_trellis(TABLE_BYTES)
-        except BudgetExceededError:
-            pass
-    table = None
-    if hist is not None:
-        labels = np.arange(1 << view.k)
-        solved = [(s, view.solve_syndrome(s)) for s in view.all_syndromes()]
-        rows, offsets = zip(*(view.trellis_index(e_s.bits) for _, e_s in solved))
-        hists = hist[np.array(rows)[:, None], labels ^ np.array(offsets)[:, None]]
-        vals = _log_z_from_hists(
-            hists.reshape(-1, hist.shape[2]).astype(np.int64), view.n_bonds, beta
-        ).reshape(len(solved), labels.size)
-        vals.flags.writeable = False
-        table = {
-            s.bits: (e_s, row) + _decide(view, row, budget_log2)
-            for (s, e_s), row in zip(solved, vals)
-        }
-    view._decisions[key] = table
-    return table
+    if view.n_syndromes > MEMO_SYNDROMES or view.rank_theta + view.k > budget_log2:
+        return None
+    memos = view._decisions
+    key = float(beta)
+    memo = memos.pop(key, None)
+    if memo is None:
+        memo = {}
+        if len(memos) >= MEMO_BETAS:
+            del memos[next(iter(memos))]
+    memos[key] = memo  # dicts keep insertion order: the last is the newest
+    return memo
 
 
 def decode_error(code, sector, e: BinaryVector, beta: float, budget_log2: int = 24) -> DecodeOutcome:

@@ -124,14 +124,16 @@ def test_c05_clean_self_dual_identity():
     assert ok
 
 
-def _bound_scan(code, sector, ps, budget_log2=20, max_bytes=1 << 29):
+def _bound_scan(code, sector, ps, budget_log2=20, max_bytes=1 << 29, checked=8):
     """Exhaustive syndrome/class scan; returns the worst bound violation.
 
     The class histograms of each syndrome are read from one syndrome-trellis
-    table of the sector (exact integers, equal to the coset-table scan).
+    table of the sector (exact integers, equal to the coset-table scan); the
+    first ``checked`` syndromes of the walk are compared with that scan.
     """
     view = code.sector(sector)
     trellis = view.class_trellis(max_bytes)
+    table = view.coset_table(budget_log2)
     labels = np.arange(1 << view.k)
     d_arr = np.zeros(1 << view.k)
     for lab in range(1, 1 << view.k):
@@ -155,6 +157,8 @@ def _bound_scan(code, sector, ps, budget_log2=20, max_bytes=1 << 29):
             e_bits ^= e_basis[flip.bit_length() - 1]
         row, offset = view.trellis_index(e_bits)
         hists = trellis[row][labels ^ offset].astype(np.int64)
+        if g < checked:
+            assert np.array_equal(hists, table.class_histograms(e_bits))
         for beta in betas:
             vals = _log_z_from_hists(hists, view.n_bonds, beta)
             lmax = int(vals.argmax())

@@ -369,9 +369,9 @@ def test_bad_fraction_decays_with_size():
     assert fracs[0] > fracs[1] > fracs[2]
 
 
-# -- decision tables --------------------------------------------------------------
+# -- kept decisions ---------------------------------------------------------------
 
-_TABLE_CODES = {
+_MEMO_CODES = {
     "toric2": lambda: toric_code(2),
     "toric3": lambda: toric_code(3),
     "dt33": lambda: debierre_turban_code(3, 3),
@@ -383,28 +383,31 @@ def _outcome_fields(out):
             out.log_z_tot, out.e_s)
 
 
-@pytest.mark.parametrize("name", sorted(_TABLE_CODES))
-def test_decision_table_equals_enumeration(name, monkeypatch):
-    # every syndrome of both sectors at three temperatures, field by field
-    tabled, enumerated = _TABLE_CODES[name](), _TABLE_CODES[name]()
+@pytest.mark.parametrize("name", sorted(_MEMO_CODES))
+def test_kept_decisions_equal_enumeration(name, monkeypatch):
+    # every syndrome of both sectors at three temperatures, field by field:
+    # the first decode, the kept one and a view that keeps nothing
+    kept, enumerated = _MEMO_CODES[name](), _MEMO_CODES[name]()
     for sector in ("X", "Z"):
         for beta in (0.3, nishimori_beta(0.11), 1.7):
-            for s in tabled.sector(sector).all_syndromes():
-                monkeypatch.setattr(decoder, "TABLE_BYTES", 1 << 20)
-                a = ml_decode(tabled, sector, s, beta)
-                monkeypatch.setattr(decoder, "TABLE_BYTES", 0)
+            for s in kept.sector(sector).all_syndromes():
+                monkeypatch.setattr(decoder, "MEMO_SYNDROMES", 1 << 10)
+                first = ml_decode(kept, sector, s, beta)
+                again = ml_decode(kept, sector, s, beta)
+                monkeypatch.setattr(decoder, "MEMO_SYNDROMES", 0)
                 b = ml_decode(enumerated, sector, s, beta)
-                assert _outcome_fields(a) == _outcome_fields(b)
-                assert not a.log_z.flags.writeable
-            key = (float(beta), 24)
-            assert tabled.sector(sector)._decisions[key] is not None
-            assert enumerated.sector(sector)._decisions[key] is None
+                assert _outcome_fields(first) == _outcome_fields(again) == _outcome_fields(b)
+                assert again.log_z is first.log_z and not again.log_z.flags.writeable
+            view = kept.sector(sector)
+            assert len(view._decisions[float(beta)]) == view.n_syndromes
+        assert enumerated.sector(sector)._decisions == {}
 
 
-def test_decision_table_decodes_without_enumeration(monkeypatch):
+def test_kept_decisions_decode_without_enumeration(monkeypatch):
     code = toric_code(3)
     beta = nishimori_beta(0.08)
-    ml_decode(code, "Z", BinaryVector(0, 9), beta)  # builds the table
+    for s in code.sector("Z").all_syndromes():  # every syndrome seen once
+        ml_decode(code, "Z", s, beta)
     calls = []
     real = decoder.class_log_values
     monkeypatch.setattr(decoder, "class_log_values", lambda *a: calls.append(a) or real(*a))
@@ -413,25 +416,56 @@ def test_decision_table_decodes_without_enumeration(monkeypatch):
         out = decode_error(code, "Z", sample_bits(0.08, 18, rng), beta)
         assert out.success in (True, False)
     assert calls == []
-    # toric L = 4 is over the byte budget and enumerates every syndrome
+    # a new syndrome is enumerated once, then kept
+    fresh = toric_code(3)
+    e = sample_bits(0.2, 18, rng)
+    decode_error(fresh, "Z", e, beta)
+    decode_error(fresh, "Z", e, beta)
+    assert len(calls) == 1
+    # toric L = 4 has 2^15 syndromes per sector: enumerated every time, none kept
     big = toric_code(4)
-    decode_error(big, "Z", sample_bits(0.08, 32, rng), beta)
-    assert len(calls) == 1 and big.sector("Z")._decisions[(float(beta), 24)] is None
+    e = sample_bits(0.08, 32, rng)
+    decode_error(big, "Z", e, beta)
+    decode_error(big, "Z", e, beta)
+    assert len(calls) == 3 and big.sector("Z")._decisions == {}
 
 
-def test_decision_table_rejects_bad_syndromes():
+def test_kept_decisions_are_bounded():
     code = toric_code(2)
     view = code.sector("Z")
-    ml_decode(code, "Z", BinaryVector(0, 4), 1.0)
-    assert view._decisions[(1.0, 24)] is not None
-    reachable = {s.bits for s in view.all_syndromes()}
+    s = BinaryVector(0b11, 4)
+    betas = [0.1 + 0.01 * i for i in range(100)]
+    for beta in betas:
+        ml_decode(code, "Z", s, beta)
+        assert len(view._decisions) <= decoder.MEMO_BETAS
+    assert list(view._decisions) == betas[-decoder.MEMO_BETAS:]
+    # a temperature decoded again is the newest; the oldest goes first
+    oldest, second = betas[-decoder.MEMO_BETAS], betas[-decoder.MEMO_BETAS + 1]
+    ml_decode(code, "Z", s, oldest)
+    ml_decode(code, "Z", s, 9.0)
+    assert second not in view._decisions and list(view._decisions)[-2:] == [oldest, 9.0]
+    # every admitted budget shares one dict per temperature
+    need = view.rank_theta + view.k
+    for budget in (need, need + 1, 24, 40):
+        ml_decode(code, "Z", s, 9.0, budget_log2=budget)
+    assert len(view._decisions) == decoder.MEMO_BETAS
+    assert len(view._decisions[9.0]) == 1
+
+
+def test_kept_decisions_reject_bad_syndromes():
+    code = toric_code(2)
+    view = code.sector("Z")
+    reachable = [s.bits for s in view.all_syndromes()]
+    for bits in reachable:
+        ml_decode(code, "Z", BinaryVector(bits, 4), 1.0)
+    assert len(view._decisions[1.0]) == len(reachable)
     bad = next(b for b in range(16) if b not in reachable)
     with pytest.raises(ValueError, match="image"):
         ml_decode(code, "Z", BinaryVector(bad, 4), 1.0)
     for n in (3, 5, 8):  # reachable bit patterns at a wrong length
         with pytest.raises(ValueError, match="length"):
             ml_decode(code, "Z", BinaryVector(0b11, n), 1.0)
-    # the enumeration budget still applies, before and after a table exists
+    # the enumeration budget still applies, before and after a decision is kept
     need = view.rank_theta + view.k
     for beta in (1.0, 0.7):
         with pytest.raises(BudgetExceededError):
