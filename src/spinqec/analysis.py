@@ -79,18 +79,13 @@ class TransitionPrediction:
 # -- defect free energies ---------------------------------------------------------
 
 
-def _values_and_max(code, sector, e, beta, budget_log2):
-    vals = class_log_values(code, sector, e, beta, budget_log2)
-    label_max, _ = wegner.dominant_class(code.sector(sector), vals, budget_log2)
-    return vals, label_max
-
-
 def delta_f_max(code, sector, e, c, beta: float, budget_log2: int = 24) -> float:
     """beta^-1 log(Z_max / Z_{c_max + c}); nonnegative by maximality."""
     view = code.sector(sector)
-    vals, label_max = _values_and_max(code, sector, e, beta, budget_log2)
+    ev = wegner.evaluation(code, sector, e, beta, budget_log2)
+    label_max, _ = ev.dominant
     label_c = view.class_label(wegner._as_vector(c, view.n_bonds, "c"))
-    return float(vals[label_max] - vals[label_max ^ label_c]) / beta
+    return float(ev.values[label_max] - ev.values[label_max ^ label_c]) / beta
 
 
 def delta_f_0(code, sector, e, c, beta: float, budget_log2: int = 24) -> float:
@@ -112,13 +107,11 @@ def syndrome_avg_delta_f(code, sector, s, c, p: float, budget_log2: int = 24) ->
     beta = nishimori_beta(p)
     view = code.sector(sector)
     e_s = view.solve_syndrome(s)
-    vals = class_log_values(code, sector, e_s, beta, budget_log2)
+    ev = wegner.evaluation(code, sector, e_s, beta, budget_log2)
     label_c = view.class_label(wegner._as_vector(c, view.n_bonds, "c"))
-    mx = vals.max()
-    weights = np.exp(vals - mx)
-    weights /= weights.sum()
+    vals = ev.values
     deltas = (vals - vals[np.arange(len(vals)) ^ label_c]) / beta
-    return float(weights @ deltas)
+    return float(ev.weights @ deltas)
 
 
 # -- tensions ----------------------------------------------------------------------
@@ -176,8 +169,12 @@ def tension_report(
 ) -> TensionReport:
     """Disorder-averaged tension lambda_c per class plus the class average.
 
-    Empty report for k = 0 families (no defects to price).
+    Empty report for k = 0 families (no defects to price).  Needs
+    n_disorder >= 2: the standard errors take a ddof=1 standard deviation
+    over the disorder samples.
     """
+    if n_disorder < 2:
+        raise ValueError(f"tension_report needs n_disorder >= 2, got {n_disorder}")
     if beta is None:
         beta = nishimori_beta(p)
     view = code.sector(sector)
@@ -198,8 +195,9 @@ def tension_report(
     labels = np.arange(n_classes)
     for i in range(n_disorder):
         e = sample_bits(p, view.n_bonds, rng)
-        vals, label_max = _values_and_max(code, sector, e, beta, budget_log2)
-        deltas = (vals[label_max] - vals[label_max ^ labels]) / beta
+        ev = wegner.evaluation(code, sector, e, beta, budget_log2)
+        label_max, _ = ev.dominant
+        deltas = (ev.values[label_max] - ev.values[label_max ^ labels]) / beta
         per_sample[i] = deltas[1:]
     d_arr = np.array([d_c[l] for l in range(1, n_classes)], dtype=float)
     for idx, label in enumerate(range(1, n_classes)):

@@ -22,6 +22,7 @@ from .gf2 import (
     BinaryMatrix,
     BinaryVector,
     CosetTable,
+    LinearMap,
     RowReducer,
     SolveMap,
     circulant,
@@ -30,7 +31,6 @@ from .gf2 import (
     identity,
     kron,
     mat_mul_t,
-    mat_vec,
     nullspace,
     parities,
     rref,
@@ -133,10 +133,12 @@ class SectorView:
     G_X u^T.  Sector "X" mirrors this.  The full-code view (sector None)
     uses the 2n-column symplectic vectors with the conjugate syndrome map.
 
-    Two linear maps are built once per view from one elimination each: the
-    syndrome map behind ``solve_syndrome`` and the k label rows behind
-    ``class_label``, with the inverse of the logical/indicator pairing folded
-    into them.
+    The linear maps are byte-table ``LinearMap``s built once per view: the
+    solve maps behind ``solve_syndrome`` (one elimination), and one map of a
+    bond vector to its k label parities in the low bits and its syndrome
+    above them, behind ``syndrome``, ``class_label`` and ``trellis_index``.
+    The inverse of the logical/indicator pairing is folded into the label
+    rows.
     """
 
     def __init__(self, code, name, theta, syn_matrix, logicals, indicators):
@@ -156,8 +158,8 @@ class SectorView:
         # the decoder's kept decisions, one dict per beta; see decoder
         self._decisions: dict = {}
         self._reps: dict = {}
-        # (key, values) of the last class_log_values call; see wegner
-        self._last_values = None
+        # the evaluation record of the last class_log_values call; see wegner
+        self._evaluation = None
         self._tot_matrix = None
         # the sector and zero-syndrome-space spin models, built by wegner on first use
         self._sector_model = None
@@ -165,17 +167,20 @@ class SectorView:
         # the label a of indicator parities y solves a P = y for the pairing
         # P = logicals . indicators^T: bit i of a is <y, column i of P^-1>
         self._pair_inv_cols = []
-        self._label_rows = []
+        label_rows = ()
         if self.k:
             pair = mat_mul_t(logicals, indicators)
             pair_inv_t = gf2.invert(pair).transpose()  # raises if pairing degenerate
             self._pair_inv_cols = list(pair_inv_t.row_bits)
-            self._label_rows = list(mat_mul_t(pair_inv_t, indicators.transpose()).row_bits)
+            label_rows = mat_mul_t(pair_inv_t, indicators.transpose()).row_bits
+        self._label_syn = LinearMap.from_rows(label_rows + syn_matrix.row_bits, self.n_bonds)
 
     # -- syndromes -------------------------------------------------------------
 
     def syndrome(self, e: BinaryVector) -> BinaryVector:
-        return mat_vec(self.syn_matrix, e)
+        if e.n != self.n_bonds:
+            raise ValueError(f"length mismatch: vector {e.n}, matrix cols {self.n_bonds}")
+        return BinaryVector(self._label_syn.apply(e.bits) >> self.k, self.syn_matrix.rows)
 
     def solve_syndrome(self, s: BinaryVector) -> BinaryVector:
         """Any error with the requested syndrome; raises if unreachable."""
@@ -207,8 +212,8 @@ class SectorView:
         reads on zero-syndrome vectors.  Both are linear, so class c of an
         error e sits at label bits c ^ (label bits of e).
         """
-        s = parities(self.syn_matrix.row_bits, bits)
-        return self._syn_map.index(s), parities(self._label_rows, bits)
+        labelled = self._label_syn.apply(bits)
+        return self._syn_map.index(labelled >> self.k), labelled & ((1 << self.k) - 1)
 
     def class_trellis(self, max_bytes: Optional[int] = None) -> np.ndarray:
         """hist[i, l, w]: the errors of weight w at (syndrome index i, label bits l).
@@ -230,13 +235,12 @@ class SectorView:
 
     def class_label(self, x: BinaryVector) -> int:
         """Label in [0, 2^k) of the class of a zero-syndrome vector x."""
-        if x.n != self.syn_matrix.cols:
-            raise ValueError(
-                f"length mismatch: vector {x.n}, matrix cols {self.syn_matrix.cols}"
-            )
-        if parities(self.syn_matrix.row_bits, x.bits):
+        if x.n != self.n_bonds:
+            raise ValueError(f"length mismatch: vector {x.n}, matrix cols {self.n_bonds}")
+        labelled = self._label_syn.apply(x.bits)
+        if labelled >> self.k:
             raise ValueError("vector has a nonzero syndrome")
-        return parities(self._label_rows, x.bits)
+        return labelled
 
     def label_from_indicators(self, y: int) -> int:
         """Class label whose indicator parities are y (bit j: indicator j)."""

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gf2 import BinaryVector
-from .wegner import class_log_values, dominant_class, log_sum_exp
+from .wegner import evaluation
 
 #: sectors with at most this many reachable syndromes keep their decisions
 MEMO_SYNDROMES = 1 << 10
@@ -122,9 +122,9 @@ def ml_decode(code, sector, s: BinaryVector, beta: float, budget_log2: int = 24)
         entry = memo.get(s.bits)
     if entry is None:  # not kept: solving raises on a bad syndrome
         e_s = view.solve_syndrome(s)
-        vals = class_log_values(code, sector, e_s, beta, budget_log2)
-        label, ties = dominant_class(view, vals, budget_log2)
-        entry = (e_s, vals, label, ties, float(vals[label]), log_sum_exp(vals))
+        ev = evaluation(code, sector, e_s, beta, budget_log2)
+        label, ties = ev.dominant
+        entry = (e_s, ev.values, label, ties, float(ev.values[label]), ev.log_ztot)
         if memo is not None:
             memo[s.bits] = entry
     e_s, vals, label, ties, log_z_max, log_z_tot = entry

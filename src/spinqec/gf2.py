@@ -300,6 +300,52 @@ def parities(rows: Sequence[int], bits: int) -> int:
     return out
 
 
+class LinearMap:
+    """A fixed GF(2)-linear map of packed bit vectors, applied by table lookup.
+
+    ``images[j]`` is the image of bit j of an n = len(images) bit input.
+    Each 8-bit slice of the input has a table of the XORs of its images
+    (256 entries, fewer for a last slice under 8 bits), so applying the map
+    costs ceil(n / 8) lookups, whatever the number of output bits.  An input
+    wider than n bits raises.
+    """
+
+    __slots__ = ("_tables", "_n_bytes")
+
+    def __init__(self, images: Sequence[int]):
+        self._n_bytes = (len(images) + 7) // 8
+        self._tables = []
+        for start in range(0, len(images), 8):
+            table = [0]
+            for img in images[start : start + 8]:
+                table += [t ^ img for t in table]
+            self._tables.append(table)
+
+    @classmethod
+    def from_rows(
+        cls, rows: Sequence[int], nbits: int, out_bits: Optional[Sequence[int]] = None
+    ) -> "LinearMap":
+        """The map x -> ``parities(rows, x)`` on nbits-bit vectors.
+
+        With ``out_bits``, the parity of row i goes to output bit out_bits[i]
+        instead of bit i.
+        """
+        images = [0] * nbits
+        for i, r in enumerate(rows):
+            bit = 1 << (i if out_bits is None else out_bits[i])
+            while r:
+                low = r & -r
+                images[low.bit_length() - 1] |= bit
+                r ^= low
+        return cls(images)
+
+    def apply(self, bits: int) -> int:
+        out = 0
+        for table, byte in zip(self._tables, bits.to_bytes(self._n_bytes, "little")):
+            out ^= table[byte]
+        return out
+
+
 def eliminate(rows: list[int], cols: Iterable[int]) -> list[int]:
     """Gauss-Jordan elimination of ``rows`` in place; returns the pivot columns.
 
@@ -379,17 +425,21 @@ class SolveMap:
     row transform t_i.  For a pivot row, bit pivot_i of the solution is
     <t_i, s>; the transforms of the zero rows are the consistency checks
     <t_i, s> = 0.  The solution is the one that eliminating m augmented by
-    s alone gives.
+    s alone gives.  Two ``LinearMap``s of s are built here once: the index,
+    and the solution with the checks packed above its bits.
     """
 
     def __init__(self, m: BinaryMatrix):
         rows = [r | (1 << (m.cols + i)) for i, r in enumerate(m.row_bits)]
-        self._pivots = eliminate(rows, range(m.cols))
+        pivots = eliminate(rows, range(m.cols))
         transforms = [r >> m.cols for r in rows]
         self.rows, self.cols = m.rows, m.cols
-        self.rank = len(self._pivots)
+        self.rank = len(pivots)
         self._solve_rows = transforms[: self.rank]
-        self._check_rows = transforms[self.rank :]
+        self._index = LinearMap.from_rows(self._solve_rows, m.rows)
+        # solution bit pivots[i] is <t_i, s>; check i lands on bit cols + i
+        checks = range(m.cols, m.cols + m.rows - self.rank)
+        self._solve = LinearMap.from_rows(transforms, m.rows, pivots + list(checks))
 
     def index(self, bits: int) -> int:
         """Compact index of a reachable s: the solution's pivot bits, packed.
@@ -397,18 +447,15 @@ class SolveMap:
         Linear in s and injective on the image of m, so it numbers the
         reachable right-hand sides 0 .. 2^rank - 1.
         """
-        return parities(self._solve_rows, bits)
+        return self._index.apply(bits)
 
     def solve(self, s: BinaryVector) -> Optional[BinaryVector]:
         """The particular solution for s, or None when s is not reachable."""
         if s.n != self.rows:
             raise ValueError(f"syndrome length {s.n} != rows {self.rows}")
-        if parities(self._check_rows, s.bits):
+        bits = self._solve.apply(s.bits)
+        if bits >> self.cols:  # a consistency check fails
             return None
-        bits = 0
-        for t, col in zip(self._solve_rows, self._pivots):
-            if _parity(t & s.bits):
-                bits |= 1 << col
         return BinaryVector(bits, self.cols)
 
 

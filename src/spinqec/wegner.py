@@ -281,6 +281,38 @@ def tot_model(code, sector) -> WegnerModel:
     return view._tot_model
 
 
+class Evaluation:
+    """One evaluation of a sector: the class values at (disorder, beta,
+    budget) and what callers derive from them.
+
+    ``values`` is the read-only array of ``class_log_values``.  The derived
+    fields are computed on first use, each by the same calls as on its own:
+    ``dominant`` is ``dominant_class`` of the values, ``log_ztot`` is
+    ``log_sum_exp`` of them and ``weights`` the read-only class
+    probabilities exp(values - max) / sum.
+    """
+
+    def __init__(self, view, key: tuple, values: np.ndarray):
+        self.key = key
+        self.values = values
+        self._view = view
+
+    @functools.cached_property
+    def dominant(self) -> tuple[int, tuple]:
+        return dominant_class(self._view, self.values, self.key[2])
+
+    @functools.cached_property
+    def log_ztot(self) -> float:
+        return log_sum_exp(self.values)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        weights = np.exp(self.values - self.values.max())
+        weights /= weights.sum()
+        weights.flags.writeable = False
+        return weights
+
+
 def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.ndarray:
     """log Z_c(e; beta) for every logical class label c in [0, 2^k).
 
@@ -289,19 +321,27 @@ def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.
     basis coefficients.
 
     The returned array is shared and read-only: the sector view keeps the
-    last (e, beta, budget_log2) it evaluated with its values, and a repeated
-    call returns the same array without a new enumeration.
+    ``Evaluation`` of the last (e, beta, budget_log2) it evaluated, and a
+    repeated call returns the same array without a new enumeration.
     """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
     view = code.sector(sector)
     e = _as_vector(e, view.n_bonds, "e")
     key = (e.bits, float(beta), budget_log2)
-    if view._last_values is not None and view._last_values[0] == key:
-        return view._last_values[1]
+    if view._evaluation is not None and view._evaluation.key == key:
+        return view._evaluation.values
     table = view.coset_table(budget_log2)
     vals = _log_z_from_hists(table.class_histograms(e.bits), view.n_bonds, beta)
     vals.flags.writeable = False
-    view._last_values = (key, vals)
+    view._evaluation = Evaluation(view, key, vals)
     return vals
+
+
+def evaluation(code, sector, e, beta: float, budget_log2: int = 24) -> Evaluation:
+    """The ``Evaluation`` of (e, beta, budget_log2), through ``class_log_values``."""
+    class_log_values(code, sector, e, beta, budget_log2)
+    return code.sector(sector)._evaluation
 
 
 def z0(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
@@ -325,7 +365,7 @@ def log_sum_exp(vals: np.ndarray) -> float:
 
 def ztot(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
     """Z_tot(s; beta) = sum over classes of Z_c; e is any error with syndrome s."""
-    return PartitionValue(log_sum_exp(class_log_values(code, sector, e, beta, budget_log2)))
+    return PartitionValue(evaluation(code, sector, e, beta, budget_log2).log_ztot)
 
 
 def ztot_dual_route(code, sector, e, beta: float, budget_log2: int = 24) -> PartitionValue:
@@ -356,9 +396,9 @@ def zmax(code, sector, e, beta: float, budget_log2: int = 24):
 
     Exact log-value ties are broken as in ``dominant_class``.
     """
-    vals = class_log_values(code, sector, e, beta, budget_log2)
-    label, _ = dominant_class(code.sector(sector), vals, budget_log2)
-    return PartitionValue(float(vals[label])), label
+    ev = evaluation(code, sector, e, beta, budget_log2)
+    label, _ = ev.dominant
+    return PartitionValue(float(ev.values[label])), label
 
 
 # -- duality -------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqec import codes
+from spinqec import codes, wegner
 from spinqec.analysis import (
     TransitionPrediction,
     binary_entropy,
@@ -19,6 +19,7 @@ from spinqec.analysis import (
     syndrome_avg_delta_f,
     tension_report,
 )
+from spinqec.decoder import nishimori_beta
 from spinqec.gf2 import BinaryMatrix, BinaryVector
 
 
@@ -146,6 +147,101 @@ def test_syndrome_avg_trivial_class_zero():
     view = code.sector("Z")
     s = next(iter(view.all_syndromes()))
     assert syndrome_avg_delta_f(code, "Z", s, 0, 0.1) == pytest.approx(0.0, abs=1e-12)
+
+
+def _pre_record_values(view, e, beta):
+    """The class values, the dominant label and log Z_tot as computed on
+    every call before the evaluation record, without the view's memo."""
+    vals = wegner._log_z_from_hists(
+        view.coset_table().class_histograms(e.bits), view.n_bonds, beta
+    )
+    label_max, _ = wegner.dominant_class(view, vals)
+    mx = float(vals.max())
+    return vals, label_max, mx + math.log(float(np.exp(vals - mx).sum()))
+
+
+def _interleave(code, e, beta, i):
+    """Evaluate the view at another disorder, beta or budget, by turns."""
+    turn = i % 4
+    if turn == 1:
+        wegner.class_log_values(code, "Z", e.bits ^ 1, beta)
+    elif turn == 2:
+        wegner.class_log_values(code, "Z", e, 1.1 * beta)
+    elif turn == 3:
+        wegner.class_log_values(code, "Z", e, beta, 23)
+
+
+@pytest.mark.parametrize("make_code", [lambda: codes.toric_code(2),
+                                       lambda: codes.debierre_turban_code(3, 3)],
+                         ids=["toric2", "dt33"])
+@pytest.mark.parametrize("interleaved", [False, True])
+def test_evaluation_record_matches_pre_record_formulas(make_code, interleaved):
+    code = make_code()
+    view = code.sector("Z")
+    i = 0
+    for p in (0.05, 0.15):
+        beta = nishimori_beta(p)
+        for s in view.all_syndromes():
+            e_s = view.solve_syndrome(s)
+            vals, label_max, log_ztot = _pre_record_values(view, e_s, beta)
+            weights = np.exp(vals - vals.max())
+            weights /= weights.sum()
+            for label in range(1, 1 << view.k):
+                c = view.class_vector(label)
+                want = [
+                    float(vals[label_max] - vals[label_max ^ label]) / beta,
+                    float(vals[0] - vals[label]) / beta,
+                    float(weights @ ((vals - vals[np.arange(len(vals)) ^ label]) / beta)),
+                    log_ztot,
+                ]
+                got = []
+                for fn in (
+                    lambda: delta_f_max(code, "Z", e_s, c, beta),
+                    lambda: delta_f_0(code, "Z", e_s, c, beta),
+                    lambda: syndrome_avg_delta_f(code, "Z", s, c, p),
+                    lambda: wegner.ztot(code, "Z", e_s, beta).log_value,
+                ):
+                    if interleaved:
+                        _interleave(code, e_s, beta, i)
+                        i += 1
+                    got.append(fn())
+                assert [x.hex() for x in got] == [x.hex() for x in want]
+                i += 1  # each call meets every kind of interleaving in turn
+
+
+def test_evaluation_record_runs_dominant_class_once(monkeypatch):
+    code = codes.debierre_turban_code(3, 3)
+    view = code.sector("Z")
+    calls = []
+    real = wegner.dominant_class
+    monkeypatch.setattr(wegner, "dominant_class", lambda *a: calls.append(a) or real(*a))
+    beta = nishimori_beta(0.15)
+    n_evaluations = 0
+    for s in view.all_syndromes():
+        e_s = view.solve_syndrome(s)
+        for label in range(1, 1 << view.k):
+            c = view.class_vector(label)
+            delta_f_max(code, "Z", e_s, c, beta)
+            syndrome_avg_delta_f(code, "Z", s, c, 0.15)
+        wegner.zmax(code, "Z", e_s, beta)
+        n_evaluations += 1
+        assert len(calls) == n_evaluations
+        # another beta replaces the record; coming back evaluates again
+        delta_f_max(code, "Z", e_s, c, 2 * beta)
+        delta_f_max(code, "Z", e_s, c, beta)
+        n_evaluations += 2
+        assert len(calls) == n_evaluations
+
+
+@pytest.mark.parametrize("n_disorder", [1, 0, -3])
+def test_tension_report_needs_two_disorder_samples(n_disorder):
+    k0 = codes.StabilizerCode.from_css(
+        BinaryMatrix.from_array([[1, 1]]), BinaryMatrix.from_array([[1, 1]])
+    )
+    for code in (codes.toric_code(2), k0):
+        with pytest.raises(ValueError, match="n_disorder >= 2"):
+            tension_report(code, "Z", p=0.05, n_disorder=n_disorder)
+        assert code.sector("Z")._evaluation is None  # nothing was evaluated
 
 
 # -- tensions -------------------------------------------------------------------------

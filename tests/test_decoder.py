@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqec import decoder
+from spinqec import decoder, wegner
 from spinqec.codes import StabilizerCode, debierre_turban_code, toric_code
 from spinqec.decoder import (
     ErrorModel,
@@ -409,8 +409,8 @@ def test_kept_decisions_decode_without_enumeration(monkeypatch):
     for s in code.sector("Z").all_syndromes():  # every syndrome seen once
         ml_decode(code, "Z", s, beta)
     calls = []
-    real = decoder.class_log_values
-    monkeypatch.setattr(decoder, "class_log_values", lambda *a: calls.append(a) or real(*a))
+    real = wegner.class_log_values
+    monkeypatch.setattr(wegner, "class_log_values", lambda *a: calls.append(a) or real(*a))
     rng = np.random.default_rng(3)
     for _ in range(50):
         out = decode_error(code, "Z", sample_bits(0.08, 18, rng), beta)

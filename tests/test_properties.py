@@ -95,6 +95,41 @@ def test_invert_round_trip(m):
     assert mat_mul_t(inv, m.transpose()) == identity(n)
 
 
+# 234 bits: the full-code view of the [[117, 17]] cyclic product
+MAP_WIDTHS = (0, 1, 7, 8, 9, 18, 64, 65, 234)
+
+
+@PROPS
+@given(st.sampled_from(MAP_WIDTHS), st.data())
+def test_linear_map_equals_parities(n, data):
+    bits = st.integers(0, (1 << n) - 1)
+    rows = data.draw(st.lists(bits, max_size=20))
+    linear = gf2.LinearMap.from_rows(rows, n)
+    for x in [0, (1 << n) - 1] + data.draw(st.lists(bits, min_size=1, max_size=8)):
+        assert linear.apply(x) == gf2.parities(rows, x)
+    with pytest.raises((IndexError, OverflowError)):  # wider than the map
+        linear.apply(1 << n)
+
+
+@PROPS
+@given(matrices(max_rows=12, max_cols=20))
+def test_solve_map_every_syndrome(m):
+    """solve gives m x^T = s on every reachable s and None on every other;
+    index numbers the reachable s 0 .. 2^rank - 1."""
+    reachable = {0}
+    for col in m.column_ints():
+        reachable |= {r ^ col for r in reachable}
+    solver = gf2.SolveMap(m)
+    assert len(reachable) == 1 << solver.rank
+    for bits in range(1 << m.rows):
+        x = solver.solve(BinaryVector(bits, m.rows))
+        if bits in reachable:
+            assert x is not None and mat_vec(m, x).bits == bits
+        else:
+            assert x is None
+    assert sorted(solver.index(bits) for bits in reachable) == list(range(len(reachable)))
+
+
 @pytest.mark.parametrize("name,sector", VIEWS)
 def test_syndrome_map_matches_elimination(name, sector):
     view = CODES[name].sector(sector)

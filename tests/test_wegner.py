@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinqec import analysis, codes, gf2
-from spinqec.decoder import nishimori_beta
+from spinqec.decoder import ml_decode, nishimori_beta
 from spinqec.gf2 import BinaryMatrix, BinaryVector, BudgetExceededError
 from spinqec.wegner import (
     BETA_SELF_DUAL,
@@ -379,6 +379,30 @@ def test_class_values_memo_keeps_budget_check_and_is_read_only():
         vals[0] = 0.0
     with pytest.raises(BudgetExceededError):
         class_log_values(code, "Z", 0b101, 0.8, budget_log2=3)
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.2, -1.0])
+def test_class_values_reject_nonpositive_beta(beta):
+    """beta <= 0 raises ValueError on every route, warm view or cold;
+    at beta = 0 delta_f_max divided by zero, and at beta = -1 it was
+    negative on toric L = 2."""
+    code = codes.toric_code(2)
+    view = code.sector("Z")
+    e = BinaryVector(0b1011, 8)
+    c = view.class_vector(1)
+    for warm in (False, True):
+        if warm:
+            class_log_values(code, "Z", e, 0.7)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            class_log_values(code, "Z", e, beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            analysis.delta_f_max(code, "Z", e, c, beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            analysis.delta_f_0(code, "Z", e, c, beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            ztot(code, "Z", e, beta)
+        with pytest.raises(ValueError, match="beta must be positive"):
+            ml_decode(code, "Z", view.syndrome(e), beta)
 
 
 def test_defect_free_energies_equal_on_warm_and_cold_views():
