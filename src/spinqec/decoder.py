@@ -137,7 +137,8 @@ def _decisions(view, beta: float, budget_log2: int) -> Optional[dict]:
 
     Only a view with at most ``MEMO_SYNDROMES`` reachable syndromes keeps
     decisions, and only while the enumeration budget admits its coset table
-    (below it the enumeration raises, as it must).  Every admitted budget
+    and beta > 0 (otherwise the enumeration raises, as it must, and no kept
+    temperature is dropped for it).  Every admitted budget
     gives the same decisions, so they are keyed on beta alone; the view
     holds ``MEMO_BETAS`` temperatures and drops the least recently used.
     The log values are the read-only arrays of ``class_log_values``.
@@ -148,6 +149,8 @@ def _decisions(view, beta: float, budget_log2: int) -> Optional[dict]:
     key = float(beta)
     memo = memos.pop(key, None)
     if memo is None:
+        if key <= 0:
+            return None
         memo = {}
         if len(memos) >= MEMO_BETAS:
             del memos[next(iter(memos))]

@@ -393,6 +393,7 @@ def test_class_values_reject_nonpositive_beta(beta):
     for warm in (False, True):
         if warm:
             class_log_values(code, "Z", e, 0.7)
+            ml_decode(code, "Z", view.syndrome(e), 0.7)
         with pytest.raises(ValueError, match="beta must be positive"):
             class_log_values(code, "Z", e, beta)
         with pytest.raises(ValueError, match="beta must be positive"):
@@ -403,6 +404,7 @@ def test_class_values_reject_nonpositive_beta(beta):
             ztot(code, "Z", e, beta)
         with pytest.raises(ValueError, match="beta must be positive"):
             ml_decode(code, "Z", view.syndrome(e), beta)
+        assert list(view._decisions) == ([0.7] if warm else [])  # none dropped or added
 
 
 def test_defect_free_energies_equal_on_warm_and_cold_views():
