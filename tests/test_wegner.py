@@ -383,9 +383,9 @@ def test_class_values_memo_keeps_budget_check_and_is_read_only():
 
 @pytest.mark.parametrize("beta", [0.0, -0.2, -1.0])
 def test_class_values_reject_nonpositive_beta(beta):
-    """beta <= 0 raises ValueError on every route, warm view or cold;
-    at beta = 0 delta_f_max divided by zero, and at beta = -1 it was
-    negative on toric L = 2."""
+    """beta <= 0 raises ValueError on every route, warm view or cold:
+    delta_f_max would divide by zero at beta = 0, and at beta = -1 it
+    would be negative on toric L = 2."""
     code = codes.toric_code(2)
     view = code.sector("Z")
     e = BinaryVector(0b1011, 8)
