@@ -110,7 +110,7 @@ def syndrome_avg_delta_f(code, sector, s, c, p: float, budget_log2: int = 24) ->
     ev = wegner.evaluation(code, sector, e_s, beta, budget_log2)
     label_c = view.class_label(wegner._as_vector(c, view.n_bonds, "c"))
     vals = ev.values
-    deltas = (vals - vals[np.arange(len(vals)) ^ label_c]) / beta
+    deltas = (vals - vals[wegner.class_labels(view.k) ^ label_c]) / beta
     return float(ev.weights @ deltas)
 
 
@@ -192,7 +192,7 @@ def tension_report(
         d_c[label], d_exact[label] = view.class_distance(label, budget_log2)
     rng = np.random.default_rng(seed)
     per_sample = np.empty((n_disorder, n_classes - 1))
-    labels = np.arange(n_classes)
+    labels = wegner.class_labels(view.k)
     for i in range(n_disorder):
         e = sample_bits(p, view.n_bonds, rng)
         ev = wegner.evaluation(code, sector, e, beta, budget_log2)

@@ -39,6 +39,10 @@ from .gf2 import (
 )
 
 
+#: temperatures a sector view keeps a ``BetaSlot`` for, the least recently used dropped
+MEMO_BETAS = 16
+
+
 class CommutationError(ValueError):
     """Generator rows fail the required commutation/orthogonality relations."""
 
@@ -116,6 +120,10 @@ class StabilizerCode:
 
     def sector(self, name: Optional[str]) -> "SectorView":
         """Sector view: "X", "Z" (CSS only) or None for the full code."""
+        try:  # the name as given: the common case, and free of upper()
+            return self._views[name]
+        except (KeyError, TypeError):
+            pass
         key = name if name is None else name.upper()
         if key not in self._views:
             self._views[key] = _build_view(self, key)
@@ -123,6 +131,20 @@ class StabilizerCode:
 
     def sectors(self) -> list[Optional[str]]:
         return ["X", "Z"] if self.is_css else [None]
+
+
+class BetaSlot:
+    """What a sector view keeps at one temperature.
+
+    ``decisions`` is the decoder's dict of kept decisions and ``values`` is
+    wegner's class-value table; each is None until its owner fills it.
+    """
+
+    __slots__ = ("decisions", "values")
+
+    def __init__(self):
+        self.decisions = None
+        self.values = None
 
 
 class SectorView:
@@ -155,8 +177,9 @@ class SectorView:
         self.n_gauge = theta.rows - self.rank_theta
         self._syn_map = SolveMap(syn_matrix)
         self._table = None
-        # the decoder's kept decisions, one dict per beta; see decoder
-        self._decisions: dict = {}
+        # beta -> BetaSlot, oldest first; see slot()
+        self._slots: dict = {}
+        # (label, exact) -> representative; see representative()
         self._reps: dict = {}
         # the evaluation record of the last class_log_values call; see wegner
         self._evaluation = None
@@ -260,14 +283,15 @@ class SectorView:
         Exact when the degeneracy group has at most 2^budget_log2 elements.
         Above the budget the representative comes from the randomized
         information-set search of ``coset_min_rep`` and need not be the
-        exact minimum or the exact tie-break.
+        exact minimum or the exact tie-break.  Both kinds are kept, apart.
         """
-        if label not in self._reps:
+        key = (label, self.rank_theta <= budget_log2)
+        if key not in self._reps:
             v = self.class_vector(label)
-            _, self._reps[label], _ = gf2.coset_min_rep(
+            _, self._reps[key], _ = gf2.coset_min_rep(
                 v, self.theta, budget_log2=budget_log2
             )
-        return self._reps[label]
+        return self._reps[key]
 
     def class_distance(self, label: int, budget_log2: int = 24) -> tuple[int, bool]:
         """d_c: minimum weight over the class coset, with exactness flag."""
@@ -285,6 +309,21 @@ class SectorView:
                 gens, self.n_bonds, class_gens=self.k, max_log2=budget_log2
             )
         return self._table
+
+    def slot(self, beta: float) -> BetaSlot:
+        """The ``BetaSlot`` of a temperature, made the most recently used.
+
+        The view keeps ``MEMO_BETAS`` slots, one per temperature, and a new
+        one drops the least recently used.  Callers check beta > 0 first.
+        """
+        slots = self._slots
+        slot = slots.pop(beta, None)
+        if slot is None:
+            slot = BetaSlot()
+            if len(slots) >= MEMO_BETAS:
+                del slots[next(iter(slots))]
+        slots[beta] = slot  # dicts keep insertion order: the last is the newest
+        return slot
 
     @property
     def tot_matrix(self) -> BinaryMatrix:

@@ -7,10 +7,14 @@ alongside the decision, so threshold scans and the probability-ratio
 diagnostics share one code path.
 
 A sector with at most ``MEMO_SYNDROMES`` reachable syndromes keeps each
-decision it makes, per temperature, for its ``MEMO_BETAS`` most recently
-used temperatures: a syndrome seen before at the same beta is looked up,
-a new one is enumerated once.  Larger sectors enumerate one coset table
-scan per syndrome.
+decision it makes, per temperature, in the ``BetaSlot`` of its sector view
+(``codes.MEMO_BETAS`` most recently used temperatures): a syndrome seen
+before at the same beta is looked up, a new one is evaluated once.  Below
+the decisions, ``wegner.class_log_values`` keeps the class values of every
+syndrome it evaluates in a value table when the table fits its byte
+budget (toric L = 4 does, L = 5 does not), so a larger sector scans its
+coset table once per syndrome and temperature, and one with no table once
+per call.
 
 Trials are reproducible: each (code, p, trial) triple derives its own
 generator from the master seed by spawn keys, so results do not depend on
@@ -30,8 +34,6 @@ from .wegner import evaluation
 
 #: sectors with at most this many reachable syndromes keep their decisions
 MEMO_SYNDROMES = 1 << 10
-#: temperatures a sector keeps decisions for, the least recently used dropped
-MEMO_BETAS = 16
 
 
 @dataclass(frozen=True)
@@ -138,24 +140,20 @@ def _decisions(view, beta: float, budget_log2: int) -> Optional[dict]:
     Only a view with at most ``MEMO_SYNDROMES`` reachable syndromes keeps
     decisions, and only while the enumeration budget admits its coset table
     and beta > 0 (otherwise the enumeration raises, as it must, and no kept
-    temperature is dropped for it).  Every admitted budget
-    gives the same decisions, so they are keyed on beta alone; the view
-    holds ``MEMO_BETAS`` temperatures and drops the least recently used.
-    The log values are the read-only arrays of ``class_log_values``.
+    temperature is dropped for it).  Every admitted budget gives the same
+    decisions, so they are keyed on beta alone, in the view's ``BetaSlot``
+    of beta.  The log values are the read-only arrays of
+    ``class_log_values``.
     """
     if view.n_syndromes > MEMO_SYNDROMES or view.rank_theta + view.k > budget_log2:
         return None
-    memos = view._decisions
     key = float(beta)
-    memo = memos.pop(key, None)
-    if memo is None:
-        if key <= 0:
-            return None
-        memo = {}
-        if len(memos) >= MEMO_BETAS:
-            del memos[next(iter(memos))]
-    memos[key] = memo  # dicts keep insertion order: the last is the newest
-    return memo
+    if key <= 0:
+        return None
+    slot = view.slot(key)
+    if slot.decisions is None:
+        slot.decisions = {}
+    return slot.decisions
 
 
 def decode_error(code, sector, e: BinaryVector, beta: float, budget_log2: int = 24) -> DecodeOutcome:

@@ -538,11 +538,11 @@ def span_table(gen_words: np.ndarray) -> np.ndarray:
     """All 2^r XOR combinations of the r generator rows, by index doubling.
 
     Element i is the XOR of generators at the set bits of i, so generator 0
-    varies fastest.
+    varies fastest.  The table has the word type of ``gen_words``.
     """
     r = gen_words.shape[0]
     w = gen_words.shape[1] if gen_words.ndim == 2 else 1
-    table = np.zeros((1 << r, w), dtype=np.uint64)
+    table = np.zeros((1 << r, w), dtype=gen_words.dtype)
     for i in range(r):
         half = 1 << i
         table[half : 2 * half] = table[:half] ^ gen_words[i]
@@ -558,8 +558,10 @@ class CosetTable:
     degeneracy group, class generators span logical representatives, and
     one scan yields per-class weight histograms.
 
-    Every scan XORs the shift into one scratch array owned by the table, so
-    a table is not reentrant: scan it from one thread at a time.
+    A span of at most 32 bits is held as one ``uint32`` word per element,
+    a wider one as ``uint64`` words.  Every scan XORs the shift into one
+    scratch array owned by the table, so a table is not reentrant: scan it
+    from one thread at a time.
     """
 
     def __init__(
@@ -580,14 +582,17 @@ class CosetTable:
         self.rank_gens = self.n_gens - class_gens
         self.size = 1 << self.n_gens
         self.n_classes = 1 << class_gens
-        words = span_table(ints_to_words(list(gen_ints), nbits))
-        self._words = words[:, 0] if words.shape[1] == 1 else words
+        if nbits <= 32:
+            self._words = span_table(np.array(gen_ints, dtype=np.uint32)[:, None])[:, 0]
+        else:
+            words = span_table(ints_to_words(list(gen_ints), nbits))
+            self._words = words[:, 0] if words.shape[1] == 1 else words
         self._scratch = np.empty_like(self._words)
         if class_gens:
             # key = class * (nbits + 1) + weight, below n_classes * (nbits + 1)
-            idx = np.arange(self.size, dtype=np.int64) >> self.rank_gens
             key_type = np.min_scalar_type(self.n_classes * (nbits + 1))
-            self._class_key = (idx * (nbits + 1)).astype(key_type)
+            starts = (np.arange(self.n_classes) * (nbits + 1)).astype(key_type)
+            self._class_key = np.repeat(starts, 1 << self.rank_gens)
         else:
             self._class_key = None
 
@@ -597,7 +602,7 @@ class CosetTable:
         The smallest unsigned type that holds nbits (uint8 up to 255 bits).
         """
         if self._words.ndim == 1:
-            np.bitwise_xor(self._words, np.uint64(shift), out=self._scratch)
+            np.bitwise_xor(self._words, self._words.dtype.type(shift), out=self._scratch)
             return np.bitwise_count(self._scratch)
         sw = int_to_words(shift, self._words.shape[1])
         np.bitwise_xor(self._words, sw, out=self._scratch)

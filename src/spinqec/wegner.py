@@ -42,6 +42,9 @@ BETA_SELF_DUAL = 0.5 * math.log(1.0 + math.sqrt(2.0))
 
 _BLOCK_LOG2 = 16
 
+#: bytes of class-value tables one sector view holds, over all its temperatures
+VALUE_TABLE_BYTES = 1 << 24
+
 
 class WegnerModel:
     """Incidence matrix plus read-only per-bond couplings J_b > 0 (K_b = beta * J_b)."""
@@ -313,6 +316,41 @@ class Evaluation:
         return weights
 
 
+@functools.lru_cache(maxsize=None)
+def class_labels(k: int) -> np.ndarray:
+    """The class labels 0 .. 2^k - 1 as one shared, read-only index array."""
+    labels = np.arange(1 << k)
+    labels.flags.writeable = False
+    return labels
+
+
+def _value_table(view, beta: float):
+    """The view's class-value table at beta, or None when it cannot fit.
+
+    Shape (n_syndromes, 2^k), float64, in absolute label coordinates: an
+    error with ``trellis_index`` (i, l) has class c at [i, l ^ c].  A row
+    is NaN until ``class_log_values`` fills it.  The table lives in the
+    view's ``BetaSlot`` of beta, and all tables of a view stay within
+    ``VALUE_TABLE_BYTES``: the budget is checked before allocation, and a
+    new table first drops the tables of the least recently used
+    temperatures that it needs the room of.
+    """
+    nbytes = (view.n_syndromes << view.k) * 8
+    if nbytes > VALUE_TABLE_BYTES:
+        return None
+    slot = view.slot(beta)
+    if slot.values is None:
+        held = sum(s.values.nbytes for s in view._slots.values() if s.values is not None)
+        for old in view._slots.values():  # the least recently used first
+            if held + nbytes <= VALUE_TABLE_BYTES:
+                break
+            if old.values is not None:
+                held -= old.values.nbytes
+                old.values = None
+        slot.values = np.full((view.n_syndromes, 1 << view.k), np.nan)
+    return slot.values
+
+
 def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.ndarray:
     """log Z_c(e; beta) for every logical class label c in [0, 2^k).
 
@@ -322,7 +360,10 @@ def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.
 
     The returned array is shared and read-only: the sector view keeps the
     ``Evaluation`` of the last (e, beta, budget_log2) it evaluated, and a
-    repeated call returns the same array without a new enumeration.
+    repeated call returns the same array without a new enumeration.  Where
+    the view's value table at beta fits (``_value_table``), each syndrome
+    is enumerated once and its row is read for every later error with that
+    syndrome; every class value is the float the enumeration gives.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -331,8 +372,19 @@ def class_log_values(code, sector, e, beta: float, budget_log2: int = 24) -> np.
     key = (e.bits, float(beta), budget_log2)
     if view._evaluation is not None and view._evaluation.key == key:
         return view._evaluation.values
-    table = view.coset_table(budget_log2)
-    vals = _log_z_from_hists(table.class_histograms(e.bits), view.n_bonds, beta)
+    table = view.coset_table(budget_log2)  # raises over budget, before any table
+    values = _value_table(view, key[1])
+    if values is None:
+        vals = _log_z_from_hists(table.class_histograms(e.bits), view.n_bonds, beta)
+    else:
+        i, l = view.trellis_index(e.bits)
+        row = values[i]
+        at = class_labels(view.k) ^ l
+        if row[0] == row[0]:  # filled: NaN is the only value unequal to itself
+            vals = row[at]
+        else:
+            vals = _log_z_from_hists(table.class_histograms(e.bits), view.n_bonds, beta)
+            row[at] = vals
     vals.flags.writeable = False
     view._evaluation = Evaluation(view, key, vals)
     return vals

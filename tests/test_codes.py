@@ -298,6 +298,33 @@ def test_class_labels_linear_and_invertible():
     assert view.class_label(v) == 3
 
 
+def test_representative_kept_apart_by_exactness():
+    # toric L = 4, Z, class 3: the information-set search (budget 2^1) and
+    # the exact enumeration give different weight-8 representatives
+    exact_bits, isd_bits = 2290675712, 1216903168
+    view = toric_code(4).sector("Z")
+    assert view.representative(3, 1).bits == isd_bits
+    assert view.representative(3, 24).bits == exact_bits
+    assert view.representative(3, 1).bits == isd_bits
+    fresh = toric_code(4).sector("Z")
+    assert fresh.representative(3, 24).bits == exact_bits
+    assert fresh.representative(3, fresh.rank_theta).bits == exact_bits
+    assert fresh.representative(3, 1).bits == isd_bits
+
+
+def test_sector_names():
+    code = toric_code(2)
+    assert code.sector("z") is code.sector("Z") and code.sector("x") is code.sector("X")
+    assert code.sector(None) is code.sector(None)
+    with pytest.raises(ValueError, match="unknown sector"):
+        code.sector("Y")
+    with pytest.raises(AttributeError):
+        code.sector(["Z"])
+    generic = StabilizerCode.from_symplectic(code.generator)
+    with pytest.raises(ValueError, match="require a CSS code"):
+        generic.sector("Z")
+
+
 # -- distance ---------------------------------------------------------------------------
 
 

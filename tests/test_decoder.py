@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqec import decoder, wegner
+from spinqec import codes, decoder, wegner
 from spinqec.codes import StabilizerCode, debierre_turban_code, toric_code
 from spinqec.decoder import (
     ErrorModel,
@@ -378,6 +378,11 @@ _MEMO_CODES = {
 }
 
 
+def _kept_decisions(view):
+    """beta -> the view's kept decisions at beta, oldest first."""
+    return {b: slot.decisions for b, slot in view._slots.items() if slot.decisions is not None}
+
+
 def _outcome_fields(out):
     return (out.syndrome, out.label, out.ties, out.log_z.tobytes(), out.log_z_max,
             out.log_z_tot, out.e_s)
@@ -399,8 +404,8 @@ def test_kept_decisions_equal_enumeration(name, monkeypatch):
                 assert _outcome_fields(first) == _outcome_fields(again) == _outcome_fields(b)
                 assert again.log_z is first.log_z and not again.log_z.flags.writeable
             view = kept.sector(sector)
-            assert len(view._decisions[float(beta)]) == view.n_syndromes
-        assert enumerated.sector(sector)._decisions == {}
+            assert len(view._slots[float(beta)].decisions) == view.n_syndromes
+        assert _kept_decisions(enumerated.sector(sector)) == {}
 
 
 def test_kept_decisions_decode_without_enumeration(monkeypatch):
@@ -422,12 +427,13 @@ def test_kept_decisions_decode_without_enumeration(monkeypatch):
     decode_error(fresh, "Z", e, beta)
     decode_error(fresh, "Z", e, beta)
     assert len(calls) == 1
-    # toric L = 4 has 2^15 syndromes per sector: enumerated every time, none kept
+    # toric L = 4 has 2^15 syndromes per sector: no decision kept, each decode
+    # goes through class_log_values
     big = toric_code(4)
     e = sample_bits(0.08, 32, rng)
     decode_error(big, "Z", e, beta)
     decode_error(big, "Z", e, beta)
-    assert len(calls) == 3 and big.sector("Z")._decisions == {}
+    assert len(calls) == 3 and _kept_decisions(big.sector("Z")) == {}
 
 
 def test_kept_decisions_are_bounded():
@@ -437,19 +443,20 @@ def test_kept_decisions_are_bounded():
     betas = [0.1 + 0.01 * i for i in range(100)]
     for beta in betas:
         ml_decode(code, "Z", s, beta)
-        assert len(view._decisions) <= decoder.MEMO_BETAS
-    assert list(view._decisions) == betas[-decoder.MEMO_BETAS:]
+        assert len(_kept_decisions(view)) <= codes.MEMO_BETAS
+    assert list(_kept_decisions(view)) == betas[-codes.MEMO_BETAS:]
     # a temperature decoded again is the newest; the oldest goes first
-    oldest, second = betas[-decoder.MEMO_BETAS], betas[-decoder.MEMO_BETAS + 1]
+    oldest, second = betas[-codes.MEMO_BETAS], betas[-codes.MEMO_BETAS + 1]
     ml_decode(code, "Z", s, oldest)
     ml_decode(code, "Z", s, 9.0)
-    assert second not in view._decisions and list(view._decisions)[-2:] == [oldest, 9.0]
+    kept = _kept_decisions(view)
+    assert second not in kept and list(kept)[-2:] == [oldest, 9.0]
     # every admitted budget shares one dict per temperature
     need = view.rank_theta + view.k
     for budget in (need, need + 1, 24, 40):
         ml_decode(code, "Z", s, 9.0, budget_log2=budget)
-    assert len(view._decisions) == decoder.MEMO_BETAS
-    assert len(view._decisions[9.0]) == 1
+    assert len(_kept_decisions(view)) == codes.MEMO_BETAS
+    assert len(_kept_decisions(view)[9.0]) == 1
 
 
 def test_kept_decisions_reject_bad_syndromes():
@@ -458,7 +465,7 @@ def test_kept_decisions_reject_bad_syndromes():
     reachable = [s.bits for s in view.all_syndromes()]
     for bits in reachable:
         ml_decode(code, "Z", BinaryVector(bits, 4), 1.0)
-    assert len(view._decisions[1.0]) == len(reachable)
+    assert len(_kept_decisions(view)[1.0]) == len(reachable)
     bad = next(b for b in range(16) if b not in reachable)
     with pytest.raises(ValueError, match="image"):
         ml_decode(code, "Z", BinaryVector(bad, 4), 1.0)

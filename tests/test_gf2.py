@@ -301,6 +301,26 @@ def test_class_histograms_partition():
         assert np.array_equal(hist[cls], np.bincount(block, minlength=11))
 
 
+@pytest.mark.parametrize("nbits", [31, 32, 33])
+def test_class_histograms_at_the_uint32_word_boundary(nbits):
+    # spans of at most 32 bits are held as uint32 words, wider ones as uint64
+    rng = np.random.default_rng(nbits)
+    top = 1 << (nbits - 1)
+    gens = [int(rng.integers(0, top)) | top for _ in range(9)]
+    table = CosetTable(gens, nbits, class_gens=2)
+    assert table._words.dtype == (np.uint32 if nbits <= 32 else np.uint64)
+    elements = [0]
+    for g in gens:
+        elements += [x ^ g for x in elements]
+    for shift in (0, top | 1, (1 << nbits) - 1, int(rng.integers(0, 1 << nbits))):
+        ref = np.zeros((4, nbits + 1), dtype=np.int64)
+        for i, x in enumerate(elements):
+            ref[i >> 7, (x ^ shift).bit_count()] += 1
+        hist = table.class_histograms(shift)
+        assert np.array_equal(hist, ref)
+        assert list(table.weights(shift)) == [(x ^ shift).bit_count() for x in elements]
+
+
 @pytest.mark.parametrize(
     "nbits, n_gens, class_gens",
     [(40, 8, 2), (64, 7, 0), (300, 7, 3), (130, 6, 0)],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinqec import analysis, codes, gf2
+from spinqec import analysis, codes, gf2, wegner
 from spinqec.decoder import ml_decode, nishimori_beta
 from spinqec.gf2 import BinaryMatrix, BinaryVector, BudgetExceededError
 from spinqec.wegner import (
@@ -404,7 +404,7 @@ def test_class_values_reject_nonpositive_beta(beta):
             ztot(code, "Z", e, beta)
         with pytest.raises(ValueError, match="beta must be positive"):
             ml_decode(code, "Z", view.syndrome(e), beta)
-        assert list(view._decisions) == ([0.7] if warm else [])  # none dropped or added
+        assert list(view._slots) == ([0.7] if warm else [])  # none dropped or added
 
 
 def test_defect_free_energies_equal_on_warm_and_cold_views():
@@ -425,6 +425,164 @@ def test_defect_free_energies_equal_on_warm_and_cold_views():
             ]
             for call in calls:
                 assert call(warm) == call(codes.toric_code(2))
+
+
+# -- class-value tables ---------------------------------------------------------------
+
+_TABLE_CODES = {
+    "toric2": lambda: codes.toric_code(2),
+    "toric3": lambda: codes.toric_code(3),
+    "toric4": lambda: codes.toric_code(4),
+    "dt33": lambda: codes.debierre_turban_code(3, 3),
+}
+_TABLE_BETAS = (0.35, nishimori_beta(0.11))
+
+
+def _scan(view, bits, beta):
+    """The class values of one coset-table scan, with no table involved."""
+    hists = view.coset_table().class_histograms(bits)
+    return wegner._log_z_from_hists(hists, view.n_bonds, beta)
+
+
+def _kernel_element(view, rng):
+    """A random zero-syndrome vector: degeneracy group plus a random class."""
+    bits = 0
+    for row in view.theta_basis.row_bits + view.logicals.row_bits:
+        if rng.random() < 0.5:
+            bits ^= row
+    return bits
+
+
+def _filled_rows(view, beta):
+    values = view._slots[beta].values
+    return int((~np.isnan(values[:, 0])).sum())
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_CODES))
+@pytest.mark.parametrize("sector", ["X", "Z", None])
+def test_value_table_equals_coset_scan(name, sector):
+    """Every class value read from a table has the bytes of a scan.
+
+    Where every syndrome is cheap to scan (at most 2^20 elements scanned
+    per view and beta), every syndrome is filled and then read back at each
+    class offset; otherwise p-weighted and uniform errors fill rows, and
+    errors of the same syndromes in other classes read them.
+    """
+    code = _TABLE_CODES[name]()
+    view = code.sector(sector)
+    reach = view.rank_theta + view.k
+    if reach > 24:
+        with pytest.raises(BudgetExceededError):
+            class_log_values(code, sector, 0, 1.0)
+        return
+    rng = np.random.default_rng(61)
+    fits = (view.n_syndromes << view.k) * 8 <= wegner.VALUE_TABLE_BYTES
+    every = view.n_syndromes << reach <= 1 << 20
+    for beta in _TABLE_BETAS:
+        if every:
+            fills = [view.solve_syndrome(s).bits for s in view.all_syndromes()]
+        else:
+            n = 120 >> max(0, reach - 18)  # 7 errors at 2^22 elements a scan
+            fills = [sum(1 << int(j) for j in np.flatnonzero(rng.random(view.n_bonds) < 0.06))
+                     for _ in range(n)]
+            fills += [int(rng.integers(0, 1 << 62)) & ((1 << view.n_bonds) - 1)
+                      for _ in range(n // 6)]
+        for e in fills:
+            shifts = [view.class_vector(c).bits for c in range(1 << view.k)] if every else []
+            shifts += [_kernel_element(view, rng) for _ in range(2)]
+            for bits in [e] + [e ^ z for z in shifts]:
+                got = class_log_values(code, sector, bits, beta)
+                assert got.tobytes() == _scan(view, bits, beta).tobytes()
+        if fits and every:
+            assert _filled_rows(view, beta) == view.n_syndromes
+        elif fits:
+            assert _filled_rows(view, beta) == len({view.trellis_index(e)[0] for e in fills})
+        else:
+            assert view._slots == {}
+
+
+def test_value_table_scans_each_syndrome_once(monkeypatch):
+    code = codes.toric_code(3)
+    view = code.sector("Z")
+    scans = []
+    real = gf2.CosetTable.class_histograms
+    monkeypatch.setattr(gf2.CosetTable, "class_histograms",
+                        lambda table, shift=0: scans.append(shift) or real(table, shift))
+    rng = np.random.default_rng(71)
+    beta = _TABLE_BETAS[1]
+    for s in view.all_syndromes():
+        e = view.solve_syndrome(s).bits
+        for bits in (e, e ^ _kernel_element(view, rng), e ^ view.class_vector(3).bits):
+            class_log_values(code, "Z", bits, beta)
+    assert len(scans) == view.n_syndromes
+
+
+def test_value_table_budget_zero_keeps_no_table(monkeypatch):
+    monkeypatch.setattr(wegner, "VALUE_TABLE_BYTES", 0)
+    rng = np.random.default_rng(67)
+    bare, ref = codes.toric_code(3), codes.toric_code(3)
+    for _ in range(200):
+        sector = ("X", "Z")[int(rng.integers(2))]
+        e = sum(1 << int(j) for j in np.flatnonzero(rng.random(18) < 0.1))
+        beta = _TABLE_BETAS[int(rng.integers(2))]
+        got = class_log_values(bare, sector, e, beta)
+        monkeypatch.setattr(wegner, "VALUE_TABLE_BYTES", 1 << 24)
+        want = class_log_values(ref, sector, e, beta)
+        monkeypatch.setattr(wegner, "VALUE_TABLE_BYTES", 0)
+        assert got.tobytes() == want.tobytes()
+    assert bare.sector("X")._slots == bare.sector("Z")._slots == {}
+    assert ref.sector("Z")._slots[_TABLE_BETAS[0]].values is not None
+
+
+def test_value_tables_bounded_by_slots_and_bytes(monkeypatch):
+    code = codes.debierre_turban_code(3, 3)
+    view = code.sector("Z")
+    table_bytes = (view.n_syndromes << view.k) * 8
+    assert table_bytes == 16 << 10
+    e = view.solve_syndrome(next(iter(view.all_syndromes()))).bits ^ 0b111
+    betas = [0.2 + 0.05 * i for i in range(40)]
+    for beta in betas:  # the default budget holds a table in every slot
+        assert class_log_values(code, "Z", e, beta).tobytes() == _scan(view, e, beta).tobytes()
+        assert len(view._slots) <= codes.MEMO_BETAS
+    assert list(view._slots) == betas[-codes.MEMO_BETAS:]
+    assert all(slot.values is not None for slot in view._slots.values())
+    # three tables' worth: the newest three temperatures keep theirs
+    monkeypatch.setattr(wegner, "VALUE_TABLE_BYTES", 3 * table_bytes)
+    fresh = codes.debierre_turban_code(3, 3)
+    fview = fresh.sector("Z")
+    for i, beta in enumerate(betas):
+        got = class_log_values(fresh, "Z", e ^ (i % 4), beta)
+        assert got.tobytes() == _scan(fview, e ^ (i % 4), beta).tobytes()
+        held = [b for b, slot in fview._slots.items() if slot.values is not None]
+        assert sum(fview._slots[b].values.nbytes for b in held) <= 3 * table_bytes
+        assert held == betas[max(0, i - 2) : i + 1]
+        assert len(fview._slots) <= codes.MEMO_BETAS
+    # a temperature used again is the newest and keeps its table
+    class_log_values(fresh, "Z", e, betas[-3])
+    class_log_values(fresh, "Z", e, 9.0)
+    held = [b for b, slot in fview._slots.items() if slot.values is not None]
+    assert held == [betas[-1], betas[-3], 9.0]
+    # beta <= 0 raises before any slot or table is touched
+    before = [(b, id(slot), id(slot.values)) for b, slot in fview._slots.items()]
+    for beta in (0.0, -0.5):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            class_log_values(fresh, "Z", e, beta)
+    assert [(b, id(slot), id(slot.values)) for b, slot in fview._slots.items()] == before
+
+
+def test_value_table_not_allocated_over_enumeration_budget():
+    code = codes.toric_code(4)
+    view = code.sector("Z")
+    need = view.rank_theta + view.k
+    with pytest.raises(BudgetExceededError):
+        class_log_values(code, "Z", 0b1011, 0.7, budget_log2=need - 1)
+    assert view._slots == {} and view._table is None and view._evaluation is None
+    class_log_values(code, "Z", 0b1011, 0.7)  # a table at 0.7 exists now
+    for beta in (0.7, 0.9):
+        with pytest.raises(BudgetExceededError):
+            class_log_values(code, "Z", 0b1, beta, budget_log2=need - 1)
+    assert list(view._slots) == [0.7]
+    assert _filled_rows(view, 0.7) == 1
 
 
 # -- correlators --------------------------------------------------------------------
